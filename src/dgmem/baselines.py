@@ -112,10 +112,12 @@ def explore_straight(env: GridEnv, steps: int, rng: np.random.Generator,
 
 def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
                       seed: int = 0, nsteps: int = 256,
-                      episode_len: int = 100) -> CoverageTracker:
+                      episode_len: int = 100,
+                      spawn: Optional[AgentState] = None) -> CoverageTracker:
     """PPO agent driven purely by an intrinsic reward (DP or RND baseline).
 
     The policy reuses the actor-critic machinery with zeroed goal features.
+    Without a ``spawn`` the start cell is drawn from the seeded generator.
     """
     rng = np.random.default_rng(seed)
     input_dim = 2 * enc.feature_dim + 3
@@ -129,7 +131,7 @@ def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
         raise ValueError(f"unknown intrinsic baseline {kind!r}")
 
     tracker = CoverageTracker(env.grid)
-    state = env.spawn(rng)
+    state = spawn if spawn is not None else env.spawn(rng)
     home = (state.x, state.y)
     tracker.visit(state.x, state.y)
     obs = env.observe(state)

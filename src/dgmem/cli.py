@@ -213,7 +213,8 @@ def cmd_explore(args) -> int:
         enc = build_encoder(cfg)
         tracker = baselines.explore_intrinsic(env, enc, args.agent, steps,
                                               seed=int(cfg["seed"]),
-                                              episode_len=horizon)
+                                              episode_len=horizon,
+                                              spawn=spawn)
     elif args.agent == "dgmem":
         cfg["learner.episodic_respawn"] = True
         enc = build_encoder(cfg)

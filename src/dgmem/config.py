@@ -51,7 +51,6 @@ DEFAULTS: Dict[str, Any] = {
     "learner.il_edges": 48,
     "learner.il_steps": 16,
     "learner.il_lr": 0.03,
-    "learner.il_max_detour": 0.0,  # 0 disables demo-efficiency filtering
     "learner.total_steps": 250000,
     "learner.episodic_respawn": False,
     # goal sampler

@@ -7,6 +7,9 @@ the semantic threshold and a combined pose/visual distance to every existing
 node. Localization, goal sampling, pruning and BFS planning all operate on
 this structure.
 
+Nodes are never deleted, so node ids are dense: node ``i`` is row ``i`` of the
+pose and feature arrays that every similarity query scores in one pass.
+
 Single-writer contract: one training loop mutates the graph; read-only
 queries may run against a snapshot taken between writes.
 """
@@ -16,7 +19,7 @@ import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,9 +87,8 @@ class GraphMemory:
         # True spawn pose of the training episode; evaluation harness only.
         self.origin: Optional[Tuple[float, float, float]] = None
 
-        self._features = np.zeros((0, 0))  # row-aligned with self._ids
+        self._features = np.zeros((0, 0))  # row i is node i
         self._poses = np.zeros((0, 3))
-        self._ids: List[int] = []
         self._adj: Dict[int, List[int]] = {}
         self._pending: List[Tuple[int, np.ndarray, np.ndarray]] = []
         self._pending_overflow = False
@@ -105,22 +107,33 @@ class GraphMemory:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def similarity(self, feature: np.ndarray,
-                   pose: np.ndarray) -> Tuple[float, float, int]:
-        """(min pose distance, min negative cosine, combined-score argmin id)."""
+    @property
+    def poses(self) -> np.ndarray:
+        """Read-only node poses; row i is node i."""
+        view = self._poses.view()
+        view.flags.writeable = False
+        return view
+
+    def scores(self, feature: np.ndarray, pose: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pose distance, negative cosine and combined score to every node.
+
+        Entry i belongs to node i. The combined score
+        ``d_pose + alpha_sim * d_vis`` is the one rule that localizes an
+        observation on the graph.
+        """
         if not self.nodes:
             raise NoNodesError("graph has no nodes")
-        d_pose, d_vis = self._distances(feature, pose)
-        combined = d_pose + self.alpha_sim * d_vis
-        nearest = self._ids[int(np.argmin(combined))]
-        return float(d_pose.min()), float(d_vis.min()), nearest
-
-    def _distances(self, feature: np.ndarray,
-                   pose: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         diff = self._poses - np.asarray(pose, float)
         d_pose = np.sqrt((diff * diff).sum(axis=1))
         d_vis = -(self._features @ np.asarray(feature, float))
-        return d_pose, d_vis
+        return d_pose, d_vis, d_pose + self.alpha_sim * d_vis
+
+    def similarity(self, feature: np.ndarray,
+                   pose: np.ndarray) -> Tuple[float, float, int]:
+        """(min pose distance, min negative cosine, combined-score argmin id)."""
+        d_pose, d_vis, combined = self.scores(feature, pose)
+        return float(d_pose.min()), float(d_vis.min()), int(np.argmin(combined))
 
     # -- node / edge iteration ----------------------------------------------
 
@@ -136,7 +149,7 @@ class GraphMemory:
             ce, cs, _ = self.similarity(feature, pose)
             if ce + self.alpha_sim * cs < self.d_p:
                 return None
-        node_id = len(self._ids)
+        node_id = len(self.nodes)
         feature = np.asarray(feature, float).copy()
         pose = np.asarray(pose, float).copy()
         self.nodes[node_id] = Node(node_id, feature, pose, 1, float(semantic),
@@ -146,7 +159,6 @@ class GraphMemory:
         else:
             self._features = np.vstack([self._features, feature[None, :]])
         self._poses = np.vstack([self._poses, pose[None, :]])
-        self._ids.append(node_id)
         self._adj[node_id] = []
         self.current = node_id
         self.topology_version += 1
@@ -158,13 +170,9 @@ class GraphMemory:
         The visit count increments only on localization changes, so dwelling
         at a node does not inflate its count.
         """
-        if not self.nodes:
-            raise NoNodesError("graph has no nodes")
-        d_pose, d_vis = self._distances(feature, pose)
-        combined = d_pose + self.alpha_sim * d_vis
-        idx = int(np.argmin(combined))
-        if combined[idx] < self.d_locate:
-            node_id = self._ids[idx]
+        _, _, combined = self.scores(feature, pose)
+        node_id = int(np.argmin(combined))
+        if combined[node_id] < self.d_locate:
             if node_id != self.current:
                 self.nodes[node_id].count += 1
             self.current = node_id
@@ -401,7 +409,12 @@ class GraphMemory:
 
     @classmethod
     def restore(cls, text: str) -> "GraphMemory":
-        """Rebuild a graph from snapshot text; never mutates on failure."""
+        """Rebuild a graph from snapshot text; never mutates on failure.
+
+        Node ids must be exactly 0..n-1 in order, edge directions "ij" or
+        "ji", and ``current`` None or a node id; anything else raises
+        SnapshotError.
+        """
         header, sep, body = text.partition("\n")
         if header.strip() != SNAPSHOT_HEADER or not sep:
             raise SnapshotError(f"bad snapshot header {header[:32]!r}", 0)
@@ -421,27 +434,33 @@ class GraphMemory:
                 node = Node(int(rec["id"]), np.array(rec["feature"], float),
                             np.array(rec["pose"], float), int(rec["count"]),
                             float(rec["semantic"]), int(rec.get("step", 0)))
+                if node.id != len(graph.nodes):
+                    raise SnapshotError(f"node id {node.id} where "
+                                        f"{len(graph.nodes)} was expected")
                 graph.nodes[node.id] = node
-                graph._ids.append(node.id)
                 graph._adj[node.id] = []
-            if graph._ids:
-                graph._features = np.stack(
-                    [graph.nodes[i].feature for i in graph._ids])
-                graph._poses = np.stack(
-                    [graph.nodes[i].pose for i in graph._ids])
+            if graph.nodes:
+                nodes = graph.nodes.values()
+                graph._features = np.stack([n.feature for n in nodes])
+                graph._poses = np.stack([n.pose for n in nodes])
             for rec in doc["edges"]:
                 i, j = int(rec["i"]), int(rec["j"])
                 if i not in graph.nodes or j not in graph.nodes:
                     raise SnapshotError(f"edge ({i},{j}) references missing node")
+                if rec["direction"] not in ("ij", "ji"):
+                    raise SnapshotError(f"edge ({i},{j}) has direction "
+                                        f"{rec['direction']!r}")
                 graph.edges[(i, j)] = Edge(i, j, int(rec["count"]),
                                            [int(a) for a in rec["actions"]],
-                                           str(rec["direction"]))
+                                           rec["direction"])
                 graph._adj[i].append(j)
                 graph._adj[j].append(i)
             for adj in graph._adj.values():
                 adj.sort()
-            graph.current = doc.get("current")
-            graph._last_node = graph.current
+            current = doc.get("current")
+            if current is not None and current not in graph.nodes:
+                raise SnapshotError(f"current node {current!r} is not a node")
+            graph.current = graph._last_node = current
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
         return graph

@@ -23,12 +23,33 @@ N_TILE_KINDS = FIRST_LANDMARK + MAX_LANDMARK_ID
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 CARDINAL_ACTIONS = (UP, DOWN, LEFT, RIGHT)
 CARDINAL_DELTA = {UP: (0, -1), DOWN: (0, 1), LEFT: (-1, 0), RIGHT: (1, 0)}
-_CARDINAL_DELTA = CARDINAL_DELTA
 
 # Orientation variant: move ahead plus quarter turns.
 MOVE_AHEAD, TURN_LEFT, TURN_RIGHT = 0, 1, 2
 ORIENTATION_ACTIONS = (MOVE_AHEAD, TURN_LEFT, TURN_RIGHT)
 _HEADING_DELTA = {0: (0, -1), 1: (1, 0), 2: (0, 1), 3: (-1, 0)}  # N E S W
+
+
+def action_effect(variant: str, action: int,
+                  heading: int) -> Tuple[int, int, int]:
+    """(dx, dy, new heading) of an action taken at a heading, before walls.
+
+    The one rule mapping actions to displacements, shared by the
+    environment and by anything that predicts where an action leads.
+    """
+    if variant == "cardinal":
+        if action not in CARDINAL_ACTIONS:
+            raise ValueError(f"bad cardinal action {action}")
+        dx, dy = CARDINAL_DELTA[action]
+        return dx, dy, heading
+    if action not in ORIENTATION_ACTIONS:
+        raise ValueError(f"bad orientation action {action}")
+    if action == TURN_LEFT:
+        return 0, 0, (heading - 1) % 4
+    if action == TURN_RIGHT:
+        return 0, 0, (heading + 1) % 4
+    dx, dy = _HEADING_DELTA[heading]
+    return dx, dy, heading
 
 
 def is_landmark(tile: int) -> bool:
@@ -62,9 +83,6 @@ class GridMap:
     def free_cells(self) -> List[Tuple[int, int]]:
         xs, ys = np.nonzero(self.tiles != WALL)
         return list(zip(xs.tolist(), ys.tolist()))
-
-    def n_rooms(self) -> int:
-        return int(self.rooms.max()) + 1
 
     def patch(self, x: int, y: int, k: int = 5) -> np.ndarray:
         """k x k tile window centered on (x, y); out-of-bounds reads as wall."""
@@ -307,23 +325,7 @@ class GridEnv:
 
     def step(self, state: AgentState, action: int,
              rng: np.random.Generator) -> Tuple[AgentState, Observation]:
-        if self.variant == "cardinal":
-            if action not in CARDINAL_ACTIONS:
-                raise ValueError(f"bad cardinal action {action}")
-            dx, dy = _CARDINAL_DELTA[action]
-            heading = state.heading
-        else:
-            if action not in ORIENTATION_ACTIONS:
-                raise ValueError(f"bad orientation action {action}")
-            heading = state.heading
-            dx = dy = 0
-            if action == TURN_LEFT:
-                heading = (heading - 1) % 4
-            elif action == TURN_RIGHT:
-                heading = (heading + 1) % 4
-            else:
-                dx, dy = _HEADING_DELTA[heading]
-
+        dx, dy, heading = action_effect(self.variant, action, state.heading)
         nx, ny = state.x + dx, state.y + dy
         collided = (dx or dy) and not self.grid.is_free(nx, ny)
         if collided:

@@ -168,32 +168,10 @@ def il_update(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
     return {"ce": ce, "kl": kl, "n": n}
 
 
-def _edge_detour(graph: GraphMemory, edge) -> float:
-    """Stored trajectory length over the L1 distance between the endpoint
-    node poses; ~1.0 for demonstrations that go straight, larger for ones
-    that wander before connecting the nodes."""
-    pi = graph.nodes[edge.i].pose
-    pj = graph.nodes[edge.j].pose
-    l1 = abs(float(pi[0] - pj[0])) + abs(float(pi[1] - pj[1]))
-    return len(edge.actions) / max(l1, 1.0)
-
-
 def build_il_batch(graph: GraphMemory, n_edges: int,
-                   rng: np.random.Generator,
-                   max_detour: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten demo tuples from up to n_edges sampled stored trajectories.
-
-    With max_detour > 0, trajectories much longer than the straight-line
-    separation of their endpoints are excluded: wandering demonstrations
-    teach the policy detours. Falls back to all edges if the filter would
-    empty the pool.
-    """
+                   rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten demo tuples from up to n_edges sampled stored trajectories."""
     keys = sorted(k for k, e in graph.edges.items() if e.samples)
-    if max_detour > 0:
-        tight = [k for k in keys
-                 if _edge_detour(graph, graph.edges[k]) <= max_detour]
-        if tight:
-            keys = tight
     if not keys:
         return np.zeros((0, 1)), np.zeros(0, int)
     take = min(n_edges, len(keys))
@@ -452,8 +430,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                 vf_coef=float(cfg["learner.vf_coef"]),
                 ent_coef=float(cfg["learner.ent_coef"]))
             il_x, il_a = build_il_batch(
-                graph, int(cfg["learner.il_edges"]), il_rng,
-                max_detour=float(cfg["learner.il_max_detour"]))
+                graph, int(cfg["learner.il_edges"]), il_rng)
             il_stats = il_update(net, il_x, il_a,
                                  float(cfg["learner.il_lr"]),
                                  beta=float(cfg["learner.beta"]),

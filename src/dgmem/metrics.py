@@ -74,23 +74,31 @@ def distance_to_goal(grid: GridMap, final_cell: Tuple[int, int],
     return float(d) if d is not None else None
 
 
-def spl(episodes: List[Tuple[bool, float, float]]) -> float:
-    """Mean of success * shortest / max(path, shortest) over episodes.
+def spl_term(success: bool, path: float, shortest: float) -> float:
+    """One episode's success * shortest / max(path, shortest).
 
-    Episodes are (success, path_length, shortest_length); start == goal
-    episodes carry shortest_length 0 and count as ratio 1 when successful.
+    Start == goal episodes carry shortest_length 0 and count as ratio 1 when
+    successful.
     """
-    if not episodes:
+    if not success:
+        return 0.0
+    if shortest <= 0:
+        return 1.0
+    return shortest / max(path, shortest)
+
+
+def _mean_spl(terms: List[float]) -> float:
+    if not terms:
         raise ValueError("spl of an empty episode list is undefined")
     total = 0.0
-    for success, path, shortest in episodes:
-        if not success:
-            continue
-        if shortest <= 0:
-            total += 1.0
-        else:
-            total += shortest / max(path, shortest)
-    return total / len(episodes)
+    for term in terms:  # left to right, so the sum is reproducible
+        total += term
+    return total / len(terms)
+
+
+def spl(episodes: List[Tuple[bool, float, float]]) -> float:
+    """Mean SPL term over (success, path_length, shortest_length) episodes."""
+    return _mean_spl([spl_term(*ep) for ep in episodes])
 
 
 @dataclass
@@ -114,13 +122,9 @@ def build_report(episodes: List[dict]) -> EvalReport:
     if not episodes:
         raise ValueError("no episodes to report")
     sr = sum(ep["success"] for ep in episodes) / len(episodes)
-    spl_value = spl([(ep["success"], ep["steps"], ep["shortest"])
-                     for ep in episodes])
+    for ep in episodes:
+        ep["spl"] = spl_term(ep["success"], ep["steps"], ep["shortest"])
     dts = [ep["dts"] for ep in episodes if ep["dts"] is not None]
     mean_dts = float(np.mean(dts)) if dts else float("nan")
-    for ep in episodes:
-        if ep["success"] and ep["shortest"] > 0:
-            ep["spl"] = ep["shortest"] / max(ep["steps"], ep["shortest"])
-        else:
-            ep["spl"] = 1.0 if ep["success"] else 0.0
-    return EvalReport(sr, spl_value, mean_dts, episodes)
+    return EvalReport(sr, _mean_spl([ep["spl"] for ep in episodes]),
+                      mean_dts, episodes)

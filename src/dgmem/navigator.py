@@ -1,12 +1,13 @@
 """Test-time hierarchical navigation over the graph memory.
 
-Start and goal observations are localized onto the graph with the combined
-pose/visual similarity rule, a route is planned over stored trajectory
+Start and goal observations are localized onto the graph with its combined
+pose/visual similarity query, a route is planned over stored trajectory
 lengths, and the learned local policy executes it subgoal by subgoal,
 finishing with a final leg toward the goal observation itself. Instead of
 sampling, each step takes the action maximizing the policy probability minus
 penalties for revisiting cells and for actions that previously collided from
-the current cell (both computed from the agent's own pose estimate); the
+the current cell (both computed from the agent's own pose estimate and the
+environment's action displacement rule); the
 penalties only break policy livelocks and carry no goal-directed signal of
 their own. A stalled subgoal triggers replanning from the current node, at
 most a fixed number of times.
@@ -15,6 +16,10 @@ Odometry drift is corrected online: whenever the current observation is an
 unambiguous visual match to a stored node near the pose estimate, the pose
 estimate is re-anchored to that node's recorded pose. The correction uses
 only the agent's own memory, never ground truth.
+
+Every per-node test here (subgoal arrival, drift matching, goal placement)
+is one array expression over ``GraphMemory.scores``, so the scoring rule
+itself lives only in the graph.
 """
 from __future__ import annotations
 
@@ -24,8 +29,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .encoder import PatchEncoder
-from .graph import GraphMemory, NoNodesError
-from .gridworld import CARDINAL_DELTA, AgentState, GridEnv, Observation
+from .graph import GraphMemory
+from .gridworld import AgentState, GridEnv, Observation, action_effect
 from .learner import policy_input
 from .nn import ActorCritic, softmax
 
@@ -50,87 +55,66 @@ class EpisodeResult:
     final_state: Optional[AgentState] = field(default=None, repr=False)
 
 
-def localize_goal(graph: GraphMemory, net: ActorCritic, goal_feat: np.ndarray,
+def localize_goal(graph: GraphMemory, goal_feat: np.ndarray,
                   goal_pose: np.ndarray) -> int:
     """Graph node closest to the goal observation.
 
-    Uses the combined pose/feature similarity rule (the same scoring as
+    Uses the graph's combined pose/feature score (the same scoring as
     self-localization, without the admission threshold). A critic-value
     argmax is unusable here: returns under the hop-progress reward grow
     with start-to-goal distance, so the value ranking favours *distant*
     nodes. Falls back to maximum feature cosine when the goal pose is
     non-finite.
     """
-    if not graph.nodes:
-        raise NoNodesError("graph has no nodes")
     goal_pose = np.asarray(goal_pose, float)
-    if not np.isfinite(goal_pose).all():
-        ids = sorted(graph.nodes)
-        sims = np.array([float(graph.nodes[i].feature @ goal_feat)
-                         for i in ids])
-        return ids[int(np.argmax(sims))]
-    _, _, nearest = graph.similarity(goal_feat, goal_pose)
-    return nearest
+    _, d_vis, combined = graph.scores(goal_feat, goal_pose)
+    return int(np.argmin(combined if np.isfinite(goal_pose).all() else d_vis))
 
 
-def _self_localize(graph: GraphMemory, feat: np.ndarray,
-                   pose: np.ndarray) -> int:
-    """Nearest node by the combined pose/visual rule (no threshold at start)."""
-    _, _, nearest = graph.similarity(feat, pose)
-    return nearest
-
-
-def _combined_to(graph: GraphMemory, node_id: int, feat: np.ndarray,
-                 pose: np.ndarray) -> float:
-    node = graph.nodes[node_id]
-    d_pose = float(np.linalg.norm(node.pose - pose))
-    d_vis = -float(node.feature @ feat)
-    return d_pose + graph.alpha_sim * d_vis
-
-
-def _at_subgoal(graph: GraphMemory, node_id: int, feat: np.ndarray,
-                pose: np.ndarray, radius: float) -> bool:
-    """Subgoal reached when the localization rule fires or the pose estimate
-    is inside the arrival radius (tolerant to odometry drift)."""
-    if _combined_to(graph, node_id, feat, pose) < graph.d_locate:
-        return True
-    node = graph.nodes[node_id]
-    return float(np.linalg.norm(node.pose[:2] - np.asarray(pose)[:2])) < radius
+def _planar_distances(graph: GraphMemory, pose: np.ndarray) -> np.ndarray:
+    """(x, y) distance from the pose estimate to every node, by node id."""
+    diff = graph.poses[:, :2] - np.asarray(pose, float)[:2]
+    return np.sqrt((diff * diff).sum(axis=1))
 
 
 def _advance_cursor(graph: GraphMemory, plan: "NavPlan", feat: np.ndarray,
                     pose: np.ndarray, radius: float) -> bool:
     """Move the cursor past every later route node already satisfied.
 
+    A route node is satisfied when the localization rule fires on it or the
+    pose estimate is inside the arrival radius (tolerant to odometry drift).
     Scanning the whole remaining route (not just the next subgoal) lets the
     executor skip waypoints it drifted past, so it never backtracks to touch
     a node the policy has already overshot.
     """
-    best = None
-    for idx in range(plan.cursor, len(plan.route)):
-        if _at_subgoal(graph, plan.route[idx], feat, pose, radius):
-            best = idx
-    if best is None:
+    rest = np.asarray(plan.route[plan.cursor:], int)
+    _, _, combined = graph.scores(feat, pose)
+    hits = np.flatnonzero((combined[rest] < graph.d_locate)
+                          | (_planar_distances(graph, pose)[rest] < radius))
+    if not len(hits):
         return False
-    plan.cursor = best + 1
+    plan.cursor += int(hits[-1]) + 1
     return True
 
 
 def _select_action(net: ActorCritic, x: np.ndarray, pose: np.ndarray,
-                   visits: dict, blocked: dict,
+                   variant: str, visits: dict, blocked: dict,
                    revisit_penalty: float) -> int:
     """Score each action and return the argmax.
 
     score(a) = policy probability - revisit_penalty * prior visits of the
     predicted next cell - a large penalty if the action collided from this
     cell before. The prediction uses only the agent's own pose estimate and
-    the known action displacements; the penalties carry no information about
-    the goal direction, so all goal-seeking comes from the policy.
+    the known action displacements of the ``variant`` (at the estimated
+    heading); the penalties carry no information about the goal direction,
+    so all goal-seeking comes from the policy.
     """
     probs = softmax(net.forward(x)[0])[0]
     cell = _pose_cell(pose)
-    scores = np.empty(len(CARDINAL_DELTA))
-    for action, (dx, dy) in CARDINAL_DELTA.items():
+    heading = int(round(float(pose[2]))) % 4
+    scores = np.empty(len(probs))
+    for action in range(len(probs)):
+        dx, dy, _ = action_effect(variant, action, heading)
         nxt = (round(cell[0] + dx, 1), round(cell[1] + dy, 1))
         score = probs[action] - revisit_penalty * visits.get(nxt, 0)
         if action in blocked.get(cell, ()):
@@ -155,18 +139,12 @@ def _drift_correction(graph: GraphMemory, feat: np.ndarray,
     unique guards against visually aliased cells. Returns the offset that
     re-anchors the drifted pose estimate onto the node, or None.
     """
-    match = None
-    for node in graph.nodes.values():
-        if float(np.linalg.norm(node.pose[:2] - pose[:2])) > radius:
-            continue
-        if float(node.feature @ feat) < min_cos:
-            continue
-        if match is not None:
-            return None  # ambiguous: two nearby nodes look identical
-        match = node
-    if match is None:
-        return None
-    offset = match.pose - pose
+    _, d_vis, _ = graph.scores(feat, pose)
+    match = np.flatnonzero((_planar_distances(graph, pose) <= radius)
+                           & (-d_vis >= min_cos))
+    if len(match) != 1:
+        return None  # no match, or two nearby nodes look identical
+    offset = graph.poses[match[0]] - pose
     offset[2:] = 0.0
     return offset
 
@@ -210,8 +188,8 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     # from re-anchoring on visually recognized memory nodes
     corr = np.zeros_like(np.asarray(start_obs.pose_est, float))
     pose = np.asarray(obs.pose_est, float) + corr
-    start_node = _self_localize(graph, feat, pose)
-    goal_node = localize_goal(graph, net, goal_feat, goal_pose)
+    _, _, start_node = graph.similarity(feat, pose)
+    goal_node = localize_goal(graph, goal_feat, goal_pose)
     route = graph.weighted_path(start_node, goal_node)
     if not route:
         return EpisodeResult(False, 0, 0, _dist_to_goal(pose),
@@ -236,7 +214,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         cell = _pose_cell(pose)
         visits[cell] = visits.get(cell, 0) + 1
         x = policy_input(feat, sub_feat, sub_pose - pose)
-        action = _select_action(net, x, pose, visits, blocked,
+        action = _select_action(net, x, pose, env.variant, visits, blocked,
                                 revisit_penalty)
         state, obs = env.step(state, action, rng)
         feat = enc.encode(obs.patch)
@@ -272,7 +250,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
                                      _dist_to_goal(pose),
                                      "replan_exhausted", plan.replans,
                                      final_state=state)
-            here = _self_localize(graph, feat, pose)
+            _, _, here = graph.similarity(feat, pose)
             route = graph.weighted_path(here, plan.goal_node)
             if not route:
                 return EpisodeResult(False, steps, steps,

@@ -2,7 +2,7 @@ import numpy as np
 
 from dgmem import baselines
 from dgmem.encoder import PatchEncoder
-from dgmem.gridworld import GridEnv
+from dgmem.gridworld import AgentState, GridEnv
 
 
 class TestPolicies:
@@ -70,6 +70,13 @@ class TestExploreLoops:
         tracker = baselines.explore_intrinsic(env, enc, "rnd", 600, seed=0,
                                               nsteps=128, episode_len=100)
         assert tracker.coverage() > 0.05
+
+    def test_intrinsic_agent_starts_at_given_spawn(self, four_rooms):
+        env = GridEnv(four_rooms)
+        spawn = AgentState(x=3, y=3, start=(3, 3))
+        tracker = baselines.explore_intrinsic(env, PatchEncoder(), "dp", 1,
+                                              seed=0, spawn=spawn)
+        assert tracker.hist.get((3, 3), 0) >= 1
 
     def test_unknown_intrinsic_kind_rejected(self, four_rooms):
         env = GridEnv(four_rooms)

@@ -6,6 +6,7 @@ import pytest
 
 from dgmem import cli, config as cfgmod
 from dgmem.graph import GraphMemory
+from dgmem.gridworld import GridEnv
 
 
 class TestConfig:
@@ -156,6 +157,33 @@ class TestCliCommands:
         code = cli.main(["train", "--config", str(bad),
                          "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+    def test_explore_agents_share_the_spawn(self, monkeypatch):
+        starts = []
+        step = GridEnv.step
+
+        def spy(self, state, action, rng):
+            if state.step_count == 0:
+                starts.append((state.x, state.y))
+            return step(self, state, action, rng)
+
+        monkeypatch.setattr(GridEnv, "step", spy)
+        for agent in ("random", "straight", "rnd", "dp"):
+            assert cli.main(["explore", "--agent", agent, "--steps", "5",
+                             "--seed", "3"]) == 0
+        assert len(starts) == 4 and len(set(starts)) == 1
+
+    def test_orientation_variant_trains_and_evaluates(self, tmp_path):
+        cfg = tmp_path / "orientation.yaml"
+        cfg.write_text("env.variant: orientation\n")
+        out = tmp_path / "run"
+        assert cli.main(self.train_args(out, steps=1000)
+                        + ["--config", str(cfg)]) == 0
+        assert cli.main(["eval", "--config", str(cfg),
+                         "--checkpoint", str(out / "checkpoint.ckpt"),
+                         "--graph", str(out / "graph.dgm"),
+                         "--episodes", "5", "--seed", "1"]) == 0
 
 
 class TestGraphEvalFrame:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,46 @@ class TestSnapshot:
                                     '"actions": [0], "direction": "ij"}]')
         with pytest.raises(SnapshotError):
             GraphMemory.restore(text)
+
+    @staticmethod
+    def edited(graph, edit):
+        header, body = graph.snapshot().split("\n", 1)
+        doc = json.loads(body)
+        edit(doc)
+        return header + "\n" + json.dumps(doc) + "\n"
+
+    def test_sparse_node_ids_rejected(self):
+        def drop_node_1(doc):
+            del doc["nodes"][1]
+        with pytest.raises(SnapshotError, match="node id 2"):
+            GraphMemory.restore(self.edited(seeded_graph(3), drop_node_1))
+
+    def test_out_of_order_node_ids_rejected(self):
+        def swap(doc):
+            doc["nodes"].reverse()
+        with pytest.raises(SnapshotError, match="node id 2"):
+            GraphMemory.restore(self.edited(seeded_graph(3), swap))
+
+    def test_bad_edge_direction_rejected(self):
+        g = TestPruning().line_graph(3)
+        def sideways(doc):
+            doc["edges"][0]["direction"] = "sideways"
+        with pytest.raises(SnapshotError, match="direction"):
+            GraphMemory.restore(self.edited(g, sideways))
+
+    def test_unknown_current_node_rejected(self):
+        def dangle(doc):
+            doc["current"] = 7
+        with pytest.raises(SnapshotError, match="current"):
+            GraphMemory.restore(self.edited(seeded_graph(3), dangle))
+
+    def test_restored_ids_are_scoring_rows(self):
+        g = GraphMemory.restore(seeded_graph(4).snapshot())
+        assert g.current == 3
+        for nid, node in g.nodes.items():
+            assert np.array_equal(g.poses[nid], node.pose)
+            assert g.similarity(node.feature, node.pose)[2] == nid
+        assert g.try_add_node(unit(16, 9), np.array([40.0, 0, 0]), 5.0) == 4
 
 
 class TestSparsityInvariant:

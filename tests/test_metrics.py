@@ -119,6 +119,19 @@ class TestReport:
         assert lines[0].startswith("episode,")
         assert len(lines) == 3
 
+    def test_report_spl_is_spl_of_its_terms(self, rng):
+        records = [{"success": bool(rng.random() < 0.7),
+                    "steps": int(rng.integers(0, 60)),
+                    "shortest": int(rng.integers(0, 40)), "dts": 0.0}
+                   for _ in range(200)]
+        want = metrics.spl([(r["success"], r["steps"], r["shortest"])
+                            for r in records])
+        rep = metrics.build_report(records)
+        assert rep.spl == want  # bit-identical, not approximate
+        for r in records:
+            assert r["spl"] == metrics.spl_term(r["success"], r["steps"],
+                                                r["shortest"])
+
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):
             metrics.build_report([])

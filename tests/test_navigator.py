@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgmem import navigator
 from dgmem.encoder import PatchEncoder
@@ -28,29 +30,26 @@ def toy_graph(n=3, dim=128):
 
 
 class TestLocalizeGoal:
-    def net(self):
-        return ActorCritic(2 * 128 + 3, 4, hidden=(8, 8), seed=0)
-
     def test_goal_at_node_pose_returns_that_node(self):
         g = toy_graph()
-        got = navigator.localize_goal(g, self.net(), unit(128, 1),
+        got = navigator.localize_goal(g, unit(128, 1),
                                       np.array([4.0, 0, 0]))
         assert got == 1
 
     def test_empty_graph_raises(self):
         with pytest.raises(NoNodesError):
-            navigator.localize_goal(GraphMemory(), self.net(),
+            navigator.localize_goal(GraphMemory(),
                                     unit(128, 0), np.zeros(3))
 
     def test_nonfinite_pose_falls_back_to_cosine(self):
         g = toy_graph()
-        got = navigator.localize_goal(g, self.net(), unit(128, 2),
+        got = navigator.localize_goal(g, unit(128, 2),
                                       np.array([np.nan, 0, 0]))
         assert got == 2
 
     def test_nearest_node_wins_between_nodes(self):
         g = toy_graph()
-        got = navigator.localize_goal(g, self.net(), unit(128, 1),
+        got = navigator.localize_goal(g, unit(128, 1),
                                       np.array([4.6, 0, 0]))
         assert got == 1
 
@@ -130,3 +129,125 @@ class TestAdvanceCursor:
         moved = navigator._advance_cursor(g, plan, np.ones(128) / np.sqrt(128),
                                           np.array([100.0, 0, 0]), 2.0)
         assert not moved and plan.cursor == 1
+
+
+# -- per-node reference versions of the vectorised navigator queries ----------
+
+def ref_combined_to(graph, node_id, feat, pose):
+    node = graph.nodes[node_id]
+    d_pose = float(np.linalg.norm(node.pose - pose))
+    d_vis = -float(node.feature @ feat)
+    return d_pose + graph.alpha_sim * d_vis
+
+
+def ref_at_subgoal(graph, node_id, feat, pose, radius):
+    if ref_combined_to(graph, node_id, feat, pose) < graph.d_locate:
+        return True
+    node = graph.nodes[node_id]
+    return float(np.linalg.norm(node.pose[:2] - np.asarray(pose)[:2])) < radius
+
+
+def ref_advance_cursor(graph, plan, feat, pose, radius):
+    best = None
+    for idx in range(plan.cursor, len(plan.route)):
+        if ref_at_subgoal(graph, plan.route[idx], feat, pose, radius):
+            best = idx
+    if best is None:
+        return False
+    plan.cursor = best + 1
+    return True
+
+
+def ref_drift_correction(graph, feat, pose, radius, min_cos):
+    match = None
+    for node in graph.nodes.values():
+        if float(np.linalg.norm(node.pose[:2] - pose[:2])) > radius:
+            continue
+        if float(node.feature @ feat) < min_cos:
+            continue
+        if match is not None:
+            return None
+        match = node
+    if match is None:
+        return None
+    offset = match.pose - pose
+    offset[2:] = 0.0
+    return offset
+
+
+def ref_goal_by_cosine(graph, goal_feat):
+    ids = sorted(graph.nodes)
+    sims = np.array([float(graph.nodes[i].feature @ goal_feat) for i in ids])
+    return ids[int(np.argmax(sims))]
+
+
+DIM = 8
+
+
+def _features(rng, n, dyadic):
+    """Unit features. Dyadic ones have four entries of +-1/2, so every
+    cosine is exact and repeated features make exact ties; continuous ones
+    are distinct random directions."""
+    if dyadic:
+        out = np.zeros((n, DIM))
+        for row in out:
+            row[rng.choice(DIM, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
+        return out
+    out = rng.standard_normal((n, DIM))
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+@st.composite
+def scenes(draw):
+    """A small graph, one observation near it, a route and its cursor."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dyadic = draw(st.booleans())
+    # every observation is admitted: the admission margin is never met
+    quarter = st.integers(-16, 16).map(lambda v: v / 4.0)
+    graph = GraphMemory(d_e=-10.0, alpha_sim=draw(st.sampled_from([0.5, 1.0])),
+                        d_locate=draw(st.one_of(quarter, st.floats(-1.5, 1.0))))
+    palette = _features(rng, draw(st.integers(1, n)) if dyadic else n, dyadic)
+    for i in range(n):
+        pose = np.array([draw(quarter), draw(quarter), draw(st.integers(0, 3))],
+                        float)
+        graph.try_add_node(palette[i % len(palette)], pose, 5.0)
+    if draw(st.booleans()):
+        feat = graph.nodes[draw(st.integers(0, n - 1))].feature.copy()
+    else:
+        feat = _features(rng, 1, dyadic)[0]
+    pose = np.array([draw(quarter), draw(quarter), 0.0])
+    route = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    cursor = draw(st.integers(0, len(route)))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 8.0]))
+    return graph, feat, pose, list(route), cursor, radius
+
+
+class TestVectorisedMatchesReference:
+    @given(scenes(), st.sampled_from([0.999, 0.5, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_drift_correction(self, scene, min_cos):
+        graph, feat, pose, _, _, radius = scene
+        got = navigator._drift_correction(graph, feat, pose, radius=radius,
+                                          min_cos=min_cos)
+        want = ref_drift_correction(graph, feat, pose, radius, min_cos)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @given(scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_advance_cursor(self, scene):
+        graph, feat, pose, route, cursor, radius = scene
+        got = navigator.NavPlan(route[-1], list(route), cursor=cursor)
+        want = navigator.NavPlan(route[-1], list(route), cursor=cursor)
+        assert (navigator._advance_cursor(graph, got, feat, pose, radius)
+                == ref_advance_cursor(graph, want, feat, pose, radius))
+        assert got.cursor == want.cursor
+
+    @given(scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_goal_fallback_by_cosine(self, scene):
+        graph, feat, _, _, _, _ = scene
+        got = navigator.localize_goal(graph, feat, np.array([np.nan, 0, 0]))
+        assert got == ref_goal_by_cosine(graph, feat)
