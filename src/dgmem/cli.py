@@ -72,11 +72,7 @@ def _load_config(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except cfgmod.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.yaml"), "w") as fh:
         fh.write(cfgmod.dumps(cfg))
@@ -164,11 +160,7 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
 
 
 def cmd_eval(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except cfgmod.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_config(args)
     try:
         net = learner.load_checkpoint(args.checkpoint)
         with open(args.graph) as fh:
@@ -299,7 +291,11 @@ def main(argv=None) -> int:
     p_render.set_defaults(func=cmd_render)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except cfgmod.ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ filtering featureless views.
 """
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from . import gridworld
@@ -31,19 +33,31 @@ class PatchEncoder:
         self._proj = proj.reshape(patch_size * patch_size, n_tile_kinds,
                                   feature_dim)
         self._proj.setflags(write=False)
+        # Encodings keyed by patch values. The projection is frozen, so each
+        # distinct patch is encoded once; an environment's patches are the
+        # views of its map, which bounds the memo's size.
+        self._memo: Dict[bytes, np.ndarray] = {}
 
     def encode(self, patch: np.ndarray) -> np.ndarray:
+        """Unit-norm feature of a patch, read-only and shared between calls
+        with equal patch values."""
         patch = np.asarray(patch)
         if patch.shape != (self.patch_size, self.patch_size):
             raise ValueError(
                 f"patch shape {patch.shape} != "
                 f"({self.patch_size}, {self.patch_size})")
         flat = patch.reshape(-1).astype(np.intp)
-        vec = self._proj[np.arange(flat.size), flat].sum(axis=0)
-        norm = np.linalg.norm(vec)
-        if norm < 1e-12:
-            raise ValueError("degenerate patch encoding")
-        return vec / norm
+        key = flat.tobytes()
+        vec = self._memo.get(key)
+        if vec is None:
+            vec = self._proj[np.arange(flat.size), flat].sum(axis=0)
+            norm = np.linalg.norm(vec)
+            if norm < 1e-12:
+                raise ValueError("degenerate patch encoding")
+            vec = vec / norm
+            vec.setflags(write=False)
+            self._memo[key] = vec
+        return vec
 
 
 def semantic_score(patch: np.ndarray, confidence: float = 1.0) -> float:

@@ -411,8 +411,9 @@ class GraphMemory:
     def restore(cls, text: str) -> "GraphMemory":
         """Rebuild a graph from snapshot text; never mutates on failure.
 
-        Node ids must be exactly 0..n-1 in order, edge directions "ij" or
-        "ji", and ``current`` None or a node id; anything else raises
+        Node ids must be exactly 0..n-1 in order, poses 3 finite numbers,
+        features finite vectors of one length, edge directions "ij" or "ji",
+        and ``current`` None or a node id; anything else raises
         SnapshotError.
         """
         header, sep, body = text.partition("\n")
@@ -437,6 +438,15 @@ class GraphMemory:
                 if node.id != len(graph.nodes):
                     raise SnapshotError(f"node id {node.id} where "
                                         f"{len(graph.nodes)} was expected")
+                if node.pose.shape != (3,) or not np.isfinite(node.pose).all():
+                    raise SnapshotError(f"node {node.id} pose {rec['pose']!r}"
+                                        f" is not 3 finite numbers")
+                first = graph.nodes.get(0, node)
+                if (node.feature.ndim != 1 or node.feature.size == 0
+                        or node.feature.shape != first.feature.shape
+                        or not np.isfinite(node.feature).all()):
+                    raise SnapshotError(f"node {node.id} feature is not a "
+                                        f"finite vector of the nodes' length")
                 graph.nodes[node.id] = node
                 graph._adj[node.id] = []
             if graph.nodes:

@@ -7,7 +7,7 @@ the state for evaluation bookkeeping only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -85,13 +85,18 @@ class GridMap:
         return list(zip(xs.tolist(), ys.tolist()))
 
     def patch(self, x: int, y: int, k: int = 5) -> np.ndarray:
-        """k x k tile window centered on (x, y); out-of-bounds reads as wall."""
+        """k x k tile window centered on (x, y); out-of-bounds reads as wall.
+
+        ``k`` must be odd. The in-bounds part of the window is one slice of
+        ``tiles`` copied into a wall-filled array.
+        """
         r = k // 2
         out = np.full((k, k), WALL, dtype=np.int8)
-        for i in range(-r, r + 1):
-            for j in range(-r, r + 1):
-                if self.in_bounds(x + i, y + j):
-                    out[i + r, j + r] = self.tiles[x + i, y + j]
+        x0, x1 = max(x - r, 0), min(x + r + 1, self.width)
+        y0, y1 = max(y - r, 0), min(y + r + 1, self.height)
+        if x0 < x1 and y0 < y1:
+            out[x0 - x + r:x1 - x + r, y0 - y + r:y1 - y + r] = \
+                self.tiles[x0:x1, y0:y1]
         return out
 
     def to_text(self) -> str:
@@ -326,19 +331,21 @@ class GridEnv:
     def step(self, state: AgentState, action: int,
              rng: np.random.Generator) -> Tuple[AgentState, Observation]:
         dx, dy, heading = action_effect(self.variant, action, state.heading)
-        nx, ny = state.x + dx, state.y + dy
-        collided = (dx or dy) and not self.grid.is_free(nx, ny)
+        x, y = state.x, state.y
+        nx, ny = x + dx, y + dy
+        grid = self.grid
+        collided = bool((dx or dy) and not (
+            0 <= nx < grid.width and 0 <= ny < grid.height
+            and grid.tiles[nx, ny] != WALL))
         if collided:
-            nx, ny = state.x, state.y
-        true_delta = np.array([nx - state.x, ny - state.y,
-                               float(heading - state.heading)])
+            nx, ny = x, y
+        true_delta = np.array([nx - x, ny - y, float(heading - state.heading)])
         if self.noise_scale > 0.0:
             noisy_delta = true_delta + rng.normal(0.0, self.noise_scale, 3)
         else:
             noisy_delta = true_delta
-        new_state = replace(
-            state, x=nx, y=ny, heading=heading,
-            step_count=state.step_count + 1,
-            pose_est=state.pose_est + noisy_delta,
-        )
-        return new_state, self.observe(new_state, collided=bool(collided))
+        new_state = AgentState(x=nx, y=ny, heading=heading,
+                               step_count=state.step_count + 1,
+                               pose_est=state.pose_est + noisy_delta,
+                               start=state.start)
+        return new_state, self.observe(new_state, collided=collided)

@@ -209,24 +209,37 @@ class CheckpointError(Exception):
 
 
 def load_checkpoint(path: str) -> ActorCritic:
+    """Rebuild the network written by ``save_checkpoint``.
+
+    The manifest must list exactly the layers of ``ActorCritic(input_dim,
+    n_actions, hidden)``, in order and with their shapes, and the file must
+    end with the last layer's weights; anything else raises CheckpointError.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode().strip()
+        header = fh.readline().decode(errors="replace").strip()
         if header != CKPT_HEADER:
             raise CheckpointError(f"bad checkpoint header {header!r}")
         try:
             manifest = json.loads(fh.readline().decode())
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"bad checkpoint manifest: {exc}") from exc
-        net = ActorCritic(manifest["input_dim"], manifest["n_actions"],
-                          tuple(manifest["hidden"]))
-        for layer in manifest["layers"]:
-            shape = tuple(layer["shape"])
+            net = ActorCritic(manifest["input_dim"], manifest["n_actions"],
+                              tuple(manifest["hidden"]))
+            layers = [(layer["name"], tuple(layer["shape"]))
+                      for layer in manifest["layers"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"bad checkpoint manifest: {exc!r}") from exc
+        expected = [(name, value.shape) for name, value in net.params.items()]
+        if layers != expected:
+            raise CheckpointError(f"checkpoint layers {layers} are not the "
+                                  f"layers {expected} of its network")
+        for name, shape in expected:
             count = int(np.prod(shape))
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise CheckpointError("truncated checkpoint weights")
-            net.params[layer["name"]] = np.frombuffer(
-                buf, dtype="<f8").reshape(shape).copy()
+            net.params[name] = np.frombuffer(buf, dtype="<f8").reshape(
+                shape).copy()
+        if fh.read(1):
+            raise CheckpointError("trailing bytes after checkpoint weights")
     return net
 
 

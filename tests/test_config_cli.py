@@ -158,6 +158,30 @@ class TestCliCommands:
                          "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def bad_config(self, tmp_path, text="bogus.key: 1\n"):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        return str(path)
+
+    def test_explore_bad_config_fails_cleanly(self, tmp_path, capsys):
+        code = cli.main(["explore", "--agent", "random", "--steps", "5",
+                         "--config", self.bad_config(tmp_path)])
+        assert code == 2
+        assert "config error: unknown config key" in capsys.readouterr().err
+
+    def test_render_bad_config_fails_cleanly(self, tmp_path, capsys):
+        code = cli.main(["render", "--config", self.bad_config(tmp_path),
+                         "--out", str(tmp_path / "map.svg")])
+        assert code == 2
+        assert "config error: unknown config key" in capsys.readouterr().err
+
+    def test_render_unknown_map_fails_cleanly(self, tmp_path, capsys):
+        cfg = self.bad_config(tmp_path, "env.map: nonsense\n")
+        code = cli.main(["render", "--config", cfg,
+                         "--out", str(tmp_path / "map.svg")])
+        assert code == 2
+        assert "config error: unknown map" in capsys.readouterr().err
+        assert not (tmp_path / "map.svg").exists()
 
     def test_explore_agents_share_the_spawn(self, monkeypatch):
         starts = []

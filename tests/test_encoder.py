@@ -73,3 +73,47 @@ class TestSemanticScore:
 
     def test_walls_do_not_count(self):
         assert semantic_score(np.full((5, 5), gw.WALL)) == 0.0
+
+
+def uncached_encode(encoder, patch):
+    """Encoding computed from the projection, bypassing the memo."""
+    flat = np.asarray(patch).reshape(-1).astype(np.intp)
+    vec = encoder._proj[np.arange(flat.size), flat].sum(axis=0)
+    return vec / np.linalg.norm(vec)
+
+
+class TestEncodeMemo:
+    @pytest.mark.parametrize("maze", [False, True])
+    def test_every_view_matches_uncached_computation(self, four_rooms, maze):
+        grid = gw.make_maze(21, 17, seed=1) if maze else four_rooms
+        enc = PatchEncoder()
+        views = [grid.patch(x, y) for x in range(grid.width)
+                 for y in range(grid.height)]
+        for _ in range(2):  # first calls fill the memo, repeats read it
+            for patch in views:
+                want = uncached_encode(enc, patch)
+                assert enc.encode(patch).tobytes() == want.tobytes()
+        assert len(enc._memo) == len({p.tobytes() for p in views})
+
+    def test_result_is_read_only(self, rng):
+        enc = PatchEncoder()
+        patch = rng.integers(0, gw.N_TILE_KINDS, (5, 5))
+        for _ in range(2):
+            vec = enc.encode(patch)
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 1.0
+
+    def test_equal_values_share_one_encoding(self, rng):
+        enc = PatchEncoder()
+        patch = rng.integers(0, gw.N_TILE_KINDS, (5, 5))
+        assert enc.encode(patch.astype(np.int8)) is enc.encode(patch)
+
+    def test_bad_shapes_still_raise_after_caching(self, rng):
+        enc = PatchEncoder()
+        patch = rng.integers(0, gw.N_TILE_KINDS, (5, 5))
+        enc.encode(patch)
+        for bad in (patch.reshape(-1), patch.reshape(1, 5, 5), patch[:3, :3],
+                    patch.T[:, :4]):
+            with pytest.raises(ValueError):
+                enc.encode(bad)

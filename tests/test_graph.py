@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgmem.encoder import semantic_score
 from dgmem.graph import (GraphMemory, NoNodesError, SnapshotError,
@@ -301,6 +303,59 @@ class TestPlanning:
             assert dist.get(nid) == g.topo_distance(0, nid)
 
 
+def graph_with_edges(n, lengths):
+    """seeded_graph(n) plus an edge of trajectory length w per (i, j): w."""
+    header, body = seeded_graph(n).snapshot().split("\n", 1)
+    doc = json.loads(body)
+    doc["edges"] = [{"i": i, "j": j, "count": 1, "actions": [0] * w,
+                     "direction": "ij"} for (i, j), w in sorted(lengths.items())]
+    return GraphMemory.restore(header + "\n" + json.dumps(doc) + "\n")
+
+
+def dijkstra_cost_hops(n, lengths, src):
+    """Least (trajectory length, hops) from src to every reachable node, by
+    scanning for the closest unsettled node."""
+    best = {src: (0, 0)}
+    settled = set()
+    while len(settled) < len(best):
+        cost, node = min((c, v) for v, c in best.items() if v not in settled)
+        settled.add(node)
+        for (i, j), w in lengths.items():
+            if node in (i, j):
+                other = j if node == i else i
+                cand = (cost[0] + w, cost[1] + 1)
+                if other not in best or cand < best[other]:
+                    best[other] = cand
+    return best
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ws = draw(st.lists(st.one_of(st.none(), st.integers(1, 6)),
+                       min_size=len(pairs), max_size=len(pairs)))
+    lengths = {p: w for p, w in zip(pairs, ws) if w is not None}
+    return (n, lengths, draw(st.integers(0, n - 1)),
+            draw(st.integers(0, n - 1)))
+
+
+class TestWeightedPathOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_matches_dijkstra_over_cost_and_hops(self, case):
+        n, lengths, src, dst = case
+        path = graph_with_edges(n, lengths).weighted_path(src, dst)
+        oracle = dijkstra_cost_hops(n, lengths, src)
+        if dst not in oracle:
+            assert path == []
+            return
+        assert path[0] == src and path[-1] == dst
+        legs = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
+        assert all(leg in lengths for leg in legs)
+        assert (sum(lengths[leg] for leg in legs), len(legs)) == oracle[dst]
+
+
 class TestSnapshot:
     def test_round_trip_identity(self):
         g = TestPruning().line_graph(4)
@@ -366,6 +421,31 @@ class TestSnapshot:
             doc["current"] = 7
         with pytest.raises(SnapshotError, match="current"):
             GraphMemory.restore(self.edited(seeded_graph(3), dangle))
+
+    def test_non_finite_pose_rejected(self):
+        def nan_pose(doc):
+            doc["nodes"][1]["pose"][0] = float("nan")
+        with pytest.raises(SnapshotError, match="node 1 pose"):
+            GraphMemory.restore(self.edited(seeded_graph(3), nan_pose))
+
+    def test_two_entry_poses_rejected(self):
+        def planar(doc):
+            for node in doc["nodes"]:
+                node["pose"] = node["pose"][:2]
+        with pytest.raises(SnapshotError, match="node 0 pose"):
+            GraphMemory.restore(self.edited(seeded_graph(3), planar))
+
+    def test_non_finite_feature_rejected(self):
+        def inf_feature(doc):
+            doc["nodes"][2]["feature"][3] = float("inf")
+        with pytest.raises(SnapshotError, match="node 2 feature"):
+            GraphMemory.restore(self.edited(seeded_graph(3), inf_feature))
+
+    def test_feature_lengths_must_agree(self):
+        def short(doc):
+            doc["nodes"][1]["feature"] = doc["nodes"][1]["feature"][:8]
+        with pytest.raises(SnapshotError, match="node 1 feature"):
+            GraphMemory.restore(self.edited(seeded_graph(3), short))
 
     def test_restored_ids_are_scoring_rows(self):
         g = GraphMemory.restore(seeded_graph(4).snapshot())

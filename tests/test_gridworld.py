@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,30 @@ class TestTextMaps:
             gw.map_from_text(text)
 
 
+def loop_patch(grid, x, y, k):
+    """Reference window: one in-bounds test per cell."""
+    r = k // 2
+    out = np.full((k, k), gw.WALL, dtype=np.int8)
+    for i in range(-r, r + 1):
+        for j in range(-r, r + 1):
+            if grid.in_bounds(x + i, y + j):
+                out[i + r, j + r] = grid.tiles[x + i, y + j]
+    return out
+
+
 class TestPatch:
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("maze", [False, True])
+    def test_matches_loop_reference_on_and_off_the_map(self, four_rooms,
+                                                       maze, k):
+        grid = gw.make_maze(21, 17, seed=1) if maze else four_rooms
+        for x in range(-3, grid.width + 3):
+            for y in range(-3, grid.height + 3):
+                got = grid.patch(x, y, k)
+                want = loop_patch(grid, x, y, k)
+                assert got.dtype == want.dtype and got.shape == (k, k)
+                assert np.array_equal(got, want), (x, y, k)
+
     def test_out_of_bounds_reads_as_wall(self, four_rooms):
         patch = four_rooms.patch(1, 1, k=5)
         assert (patch[0, :] == gw.WALL).all()
@@ -123,6 +148,54 @@ class TestCardinalStep:
                 state, obs = env.step(state, int(rng.integers(4)), rng)
             errs.append(obs.pose_est[:2] - state.true_pose()[:2])
         assert np.abs(np.mean(errs, axis=0)).max() < 0.5
+
+
+def replace_step(env, state, action, rng):
+    """Reference transition: ``dataclasses.replace`` and ``GridMap.is_free``."""
+    dx, dy, heading = gw.action_effect(env.variant, action, state.heading)
+    nx, ny = state.x + dx, state.y + dy
+    collided = (dx or dy) and not env.grid.is_free(nx, ny)
+    if collided:
+        nx, ny = state.x, state.y
+    true_delta = np.array([nx - state.x, ny - state.y,
+                           float(heading - state.heading)])
+    if env.noise_scale > 0.0:
+        noisy_delta = true_delta + rng.normal(0.0, env.noise_scale, 3)
+    else:
+        noisy_delta = true_delta
+    new_state = dataclasses.replace(
+        state, x=nx, y=ny, heading=heading, step_count=state.step_count + 1,
+        pose_est=state.pose_est + noisy_delta)
+    return new_state, env.observe(new_state, collided=bool(collided))
+
+
+class TestStepReference:
+    @pytest.mark.parametrize("variant,noise,patch_size",
+                             [("cardinal", 0.0, 5), ("cardinal", 0.3, 3),
+                              ("orientation", 0.0, 5),
+                              ("orientation", 0.2, 7)])
+    def test_random_rollouts_match_reference(self, four_rooms, variant,
+                                             noise, patch_size):
+        env = gw.GridEnv(four_rooms, noise_scale=noise, variant=variant,
+                         patch_size=patch_size)
+        actions = np.random.default_rng(5)
+        for seed in range(3):
+            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+            state = ref = env.spawn(np.random.default_rng(seed + 10))
+            for _ in range(400):
+                a = int(actions.integers(env.n_actions))
+                state, obs = env.step(state, a, rng)
+                ref, ref_obs = replace_step(env, ref, a, ref_rng)
+                assert ((state.x, state.y, state.heading, state.step_count,
+                         state.start)
+                        == (ref.x, ref.y, ref.heading, ref.step_count,
+                            ref.start))
+                assert np.array_equal(state.pose_est, ref.pose_est)
+                assert np.array_equal(obs.patch, ref_obs.patch)
+                assert np.array_equal(obs.pose_est, ref_obs.pose_est)
+                assert obs.collided is ref_obs.collided
+            # same number of draws from the noise stream
+            assert rng.random() == ref_rng.random()
 
 
 class TestOrientationVariant:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,40 @@ class TestCheckpoints:
         data = path.read_bytes()
         path.write_bytes(data[:-100])
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @staticmethod
+    def saved_parts(tmp_path):
+        """(path, manifest, weight bytes) of a freshly saved checkpoint."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), ActorCritic(10, 4, hidden=(12, 6), seed=7))
+        header, manifest, body = path.read_bytes().split(b"\n", 2)
+        return path, json.loads(manifest), body
+
+    @staticmethod
+    def write(path, manifest, body):
+        path.write_bytes(b"dgmem-ckpt-v1\n" + json.dumps(manifest).encode()
+                         + b"\n" + body)
+
+    def test_missing_layer_rejected(self, tmp_path):
+        path, manifest, body = self.saved_parts(tmp_path)
+        assert manifest["layers"][-1] == {"name": "critic.b", "shape": [1]}
+        del manifest["layers"][-1]
+        self.write(path, manifest, body[:-8])
+        with pytest.raises(CheckpointError, match="layers"):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, manifest, body = self.saved_parts(tmp_path)
+        self.write(path, manifest, body + b"junk")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(str(path))
+
+    def test_missing_manifest_key_rejected(self, tmp_path):
+        path, manifest, body = self.saved_parts(tmp_path)
+        del manifest["hidden"]
+        self.write(path, manifest, body)
+        with pytest.raises(CheckpointError, match="hidden"):
             load_checkpoint(str(path))
 
 
