@@ -13,8 +13,8 @@ import numpy as np
 from . import baselines, config as cfgmod, learner, metrics, navigator, render
 from .encoder import PatchEncoder
 from .graph import GraphMemory
-from .gridworld import (AgentState, GridEnv, GridMap, make_four_rooms,
-                        make_maze, map_from_text)
+from .gridworld import (AgentState, GridEnv, GridMap, MapError,
+                        make_four_rooms, make_maze, map_from_text)
 
 log = logging.getLogger("dgmem")
 
@@ -27,8 +27,13 @@ def _setup_logging() -> None:
 
 def build_map(cfg: dict) -> GridMap:
     if cfg["env.map_file"]:
-        with open(cfg["env.map_file"], "r", encoding="utf-8") as fh:
-            return map_from_text(fh.read())
+        path = cfg["env.map_file"]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return map_from_text(fh.read())
+        except (OSError, MapError) as exc:
+            raise cfgmod.ConfigError(
+                f"env.map_file {path!r}: {exc}") from exc
     if cfg["env.map"] == "four_rooms":
         return make_four_rooms(int(cfg["env.map_seed"]))
     if cfg["env.map"] == "maze":
@@ -124,7 +129,9 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
     """Navigation evaluation over uniform start/goal pairs.
 
     Episode pose frames are anchored to the training spawn recorded in the
-    graph snapshot; this uses ground truth for setup and scoring only.
+    graph snapshot; this uses ground truth for setup and scoring only. The
+    network and graph stay fixed throughout, so all episodes share one policy
+    memo, and each distinct goal cell gets one oracle BFS.
     """
     episodes = int(cfg["eval.episodes"])
     if episodes <= 0:
@@ -132,6 +139,8 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
     origin = graph.origin or (0.0, 0.0, 0.0)
     cells = env.grid.free_cells()
     records = []
+    memo: dict = {}
+    to_goal: dict = {}  # goal cell -> metrics.grid_distances from it
     for _ in range(episodes):
         start = cells[int(rng.integers(len(cells)))]
         goal = cells[int(rng.integers(len(cells)))]
@@ -147,11 +156,14 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
             max_steps=int(cfg["eval.max_steps"]),
             subgoal_budget=int(cfg["eval.subgoal_budget"]),
             max_replans=int(cfg["eval.max_replans"]),
-            success_radius=float(cfg["reward.radius"]))
+            success_radius=float(cfg["reward.radius"]), memo=memo)
         final = result.final_state
         final_cell = (final.x, final.y) if final is not None else start
-        dts = metrics.distance_to_goal(env.grid, final_cell, goal)
-        shortest = metrics.grid_shortest_length(env.grid, start, goal)
+        dist = to_goal.get(goal)
+        if dist is None:
+            dist = to_goal[goal] = metrics.grid_distances(env.grid, goal)
+        shortest = int(dist[start]) if dist[start] >= 0 else None
+        dts = float(dist[final_cell]) if dist[final_cell] >= 0 else None
         success = dts is not None and dts < float(cfg["reward.radius"])
         records.append({"success": bool(success), "steps": result.steps,
                         "shortest": shortest, "dts": dts,
@@ -177,7 +189,8 @@ def cmd_eval(args) -> int:
         print(f"eval error: {exc}", file=sys.stderr)
         return 2
     summary = {"sr": report.sr, "spl": report.spl, "mean_dts": report.mean_dts,
-               "episodes": len(report.episodes)}
+               "episodes": len(report.episodes), "reasons": report.reasons,
+               "mean_replans": report.mean_replans}
     print(json.dumps(summary))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -7,13 +7,13 @@ agent-facing modules never import it.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gridworld import GridMap
+from .gridworld import WALL, GridMap
 
 
 class CoverageTracker:
@@ -67,6 +67,32 @@ def grid_shortest_length(grid: GridMap, start: Tuple[int, int],
     return None
 
 
+def grid_distances(grid: GridMap, source: Tuple[int, int]) -> np.ndarray:
+    """Geodesic cell distance from ``source`` to every cell, indexed like
+    ``grid.tiles``, by one full BFS on the true map (evaluation oracle).
+
+    -1 marks walls and cells ``source`` cannot reach. Moves are symmetric,
+    so entry ``c`` is also the distance from ``c`` to ``source``.
+    """
+    if not grid.is_free(*source):
+        raise ValueError("source must be a free cell")
+    width, height = grid.tiles.shape
+    free = (grid.tiles != WALL).tolist()  # nested lists index fastest
+    dist = [[-1] * height for _ in range(width)]
+    dist[source[0]][source[1]] = 0
+    queue = deque([source])
+    while queue:
+        x, y = queue.popleft()
+        d = dist[x][y] + 1
+        for nx, ny in ((x, y + 1), (x, y - 1), (x + 1, y), (x - 1, y)):
+            if (0 <= nx < width and 0 <= ny < height and free[nx][ny]
+                    and dist[nx][ny] < 0):
+                dist[nx][ny] = d
+                queue.append((nx, ny))
+    # the smallest signed dtype holding every distance (< the cell count)
+    return np.array(dist, np.min_scalar_type(-grid.tiles.size))
+
+
 def distance_to_goal(grid: GridMap, final_cell: Tuple[int, int],
                      goal_cell: Tuple[int, int]) -> Optional[float]:
     """Geodesic distance in cells; None flags an unreachable pairing."""
@@ -108,6 +134,16 @@ class EvalReport:
     mean_dts: float
     episodes: List[dict] = field(default_factory=list)
     coverage_curve: List[Tuple[int, float]] = field(default_factory=list)
+
+    @property
+    def reasons(self) -> Dict[str, int]:
+        """Episode count per outcome reason, in name order."""
+        return dict(sorted(Counter(ep["reason"]
+                                   for ep in self.episodes).items()))
+
+    @property
+    def mean_replans(self) -> float:
+        return sum(ep["replans"] for ep in self.episodes) / len(self.episodes)
 
     def to_csv(self) -> str:
         lines = ["episode,success,steps,shortest,spl,dts"]

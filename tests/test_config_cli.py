@@ -105,8 +105,19 @@ class TestCliCommands:
                          "--out", str(tmp_path / "eval")])
         assert code == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert {"sr", "spl", "mean_dts", "episodes"} <= set(summary)
-        assert (tmp_path / "eval" / "eval_report.json").exists()
+        assert {"sr", "spl", "mean_dts", "episodes", "reasons",
+                "mean_replans"} <= set(summary)
+        report = json.loads((tmp_path / "eval" / "eval_report.json")
+                            .read_text())
+        records = report.pop("records")
+        assert report == summary
+        reasons = {}
+        for rec in records:
+            reasons[rec["reason"]] = reasons.get(rec["reason"], 0) + 1
+        assert summary["reasons"] == reasons
+        assert sum(reasons.values()) == summary["episodes"] == 5
+        assert summary["mean_replans"] == pytest.approx(
+            sum(rec["replans"] for rec in records) / 5)
         assert (tmp_path / "eval" / "eval_episodes.csv").exists()
 
     def test_eval_missing_artifact_fails_cleanly(self, tmp_path):
@@ -182,6 +193,28 @@ class TestCliCommands:
         assert code == 2
         assert "config error: unknown map" in capsys.readouterr().err
         assert not (tmp_path / "map.svg").exists()
+
+    def test_render_missing_map_file_fails_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        cfg = self.bad_config(tmp_path, f"env.map_file: {missing}\n")
+        code = cli.main(["render", "--config", cfg,
+                         "--out", str(tmp_path / "map.svg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: env.map_file" in err and str(missing) in err
+        assert not (tmp_path / "map.svg").exists()
+
+    def test_explore_malformed_map_file_fails_cleanly(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "map.txt"
+        path.write_text("#####\n#.x.#\n#####\n")
+        cfg = self.bad_config(tmp_path, f"env.map_file: {path}\n")
+        code = cli.main(["explore", "--agent", "random", "--steps", "5",
+                         "--config", cfg])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: env.map_file" in err and str(path) in err
+        assert "bad map character 'x'" in err
 
     def test_explore_agents_share_the_spawn(self, monkeypatch):
         starts = []

@@ -1,8 +1,29 @@
 import numpy as np
 import pytest
 
-from dgmem import metrics
-from dgmem.gridworld import make_four_rooms
+from dgmem import cli, config as cfgmod, learner, metrics, navigator
+from dgmem.gridworld import (WALL, GridEnv, GridMap, make_four_rooms,
+                             make_maze, map_from_text)
+
+# A text map whose top-right room has one door, at (9, 3).
+DOOR_MAP = """\
+#############
+#.....#.....#
+#..1..#..2..#
+#.....###.###
+#...........#
+#..3.....4..#
+#############
+"""
+
+
+def sealed_grid() -> GridMap:
+    """DOOR_MAP with its door walled up. Text maps must be connected, so the
+    sealed room is made after parsing."""
+    grid = map_from_text(DOOR_MAP)
+    tiles = grid.tiles.copy()
+    tiles[9, 3] = WALL
+    return GridMap(grid.width, grid.height, tiles, grid.rooms)
 
 
 class TestCoverage:
@@ -139,3 +160,59 @@ class TestReport:
 
 def test_distance_to_goal_matches_bfs(four_rooms):
     assert metrics.distance_to_goal(four_rooms, (2, 2), (3, 3)) == 2.0
+
+
+@pytest.mark.parametrize("grid", [make_four_rooms(0), make_maze(21, 17, 0),
+                                  sealed_grid()],
+                         ids=["four_rooms", "maze", "sealed"])
+def test_grid_distances_match_bfs(grid):
+    cells = grid.free_cells()
+    for source in cells[::20]:
+        dist = metrics.grid_distances(grid, source)
+        assert dist.shape == grid.tiles.shape
+        assert (dist[grid.tiles == 1] == -1).all()
+        for cell in cells:
+            want = metrics.grid_shortest_length(grid, cell, source)
+            assert (int(dist[cell]) if dist[cell] >= 0 else None) == want
+
+
+def test_grid_distances_rejects_wall_source(four_rooms):
+    with pytest.raises(ValueError):
+        metrics.grid_distances(four_rooms, (0, 0))
+
+
+def test_run_eval_oracle_matches_bfs(monkeypatch):
+    """run_eval's per-episode shortest and dts equal the per-pair BFS,
+    including episodes whose start or goal lies in a walled-off room."""
+    cfg = cfgmod.make_config({"seed": 0, "learner.total_steps": 600,
+                              "eval.episodes": 40, "eval.max_steps": 30})
+    env = GridEnv(sealed_grid())
+    enc = cli.build_encoder(cfg)
+    graph = cli.build_graph(cfg)
+    net = learner.training_loop(env, graph, enc, cfg).net
+
+    cells = []  # (start, goal, final) per episode
+    execute = navigator.execute
+    origin = graph.origin
+
+    def spy(env, state, graph, net, enc, start_obs, goal_obs, rng, **kw):
+        res = execute(env, state, graph, net, enc, start_obs, goal_obs, rng,
+                      **kw)
+        goal = (int(round(origin[0] + goal_obs.pose_est[0])),
+                int(round(origin[1] + goal_obs.pose_est[1])))
+        cells.append(((state.x, state.y), goal,
+                      (res.final_state.x, res.final_state.y)))
+        return res
+
+    monkeypatch.setattr(navigator, "execute", spy)
+    report = cli.run_eval(env, graph, net, enc, cfg,
+                          np.random.default_rng(3))
+    assert len(cells) == len(report.episodes) == 40
+    for (start, goal, final), rec in zip(cells, report.episodes):
+        assert rec["shortest"] == metrics.grid_shortest_length(env.grid,
+                                                               start, goal)
+        assert rec["dts"] == metrics.distance_to_goal(env.grid, final, goal)
+        assert type(rec["shortest"]) in (int, type(None))
+        assert type(rec["dts"]) in (float, type(None))
+    assert any(rec["shortest"] is None for rec in report.episodes)
+    assert any(rec["shortest"] for rec in report.episodes)

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgmem import navigator
+from dgmem import cli, config as cfgmod, learner, navigator
 from dgmem.encoder import PatchEncoder
 from dgmem.graph import GraphMemory, NoNodesError
 from dgmem.gridworld import AgentState
-from dgmem.nn import ActorCritic
+from dgmem.nn import ActorCritic, softmax
 
 
 def unit(dim, idx):
@@ -119,15 +119,16 @@ class TestAdvanceCursor:
         g = toy_graph(3)
         plan = navigator.NavPlan(goal_node=2, route=[0, 1, 2])
         # observation sitting on node 1: cursor should jump past it
-        moved = navigator._advance_cursor(g, plan, unit(128, 1),
-                                          np.array([4.0, 0, 0]), 2.0)
+        q = navigator._query(g, unit(128, 1), np.array([4.0, 0, 0]))
+        moved = navigator._advance_cursor(g, plan, q, 2.0)
         assert moved and plan.cursor == 2
 
     def test_no_advance_when_far(self):
         g = toy_graph(3)
         plan = navigator.NavPlan(goal_node=2, route=[0, 1, 2], cursor=1)
-        moved = navigator._advance_cursor(g, plan, np.ones(128) / np.sqrt(128),
-                                          np.array([100.0, 0, 0]), 2.0)
+        q = navigator._query(g, np.ones(128) / np.sqrt(128),
+                             np.array([100.0, 0, 0]))
+        moved = navigator._advance_cursor(g, plan, q, 2.0)
         assert not moved and plan.cursor == 1
 
 
@@ -228,8 +229,9 @@ class TestVectorisedMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_drift_correction(self, scene, min_cos):
         graph, feat, pose, _, _, radius = scene
-        got = navigator._drift_correction(graph, feat, pose, radius=radius,
-                                          min_cos=min_cos)
+        got = navigator._drift_correction(
+            graph, navigator._query(graph, feat, pose), pose, radius=radius,
+            min_cos=min_cos)
         want = ref_drift_correction(graph, feat, pose, radius, min_cos)
         assert (got is None) == (want is None)
         if want is not None:
@@ -241,7 +243,8 @@ class TestVectorisedMatchesReference:
         graph, feat, pose, route, cursor, radius = scene
         got = navigator.NavPlan(route[-1], list(route), cursor=cursor)
         want = navigator.NavPlan(route[-1], list(route), cursor=cursor)
-        assert (navigator._advance_cursor(graph, got, feat, pose, radius)
+        q = navigator._query(graph, feat, pose)
+        assert (navigator._advance_cursor(graph, got, q, radius)
                 == ref_advance_cursor(graph, want, feat, pose, radius))
         assert got.cursor == want.cursor
 
@@ -251,3 +254,98 @@ class TestVectorisedMatchesReference:
         graph, feat, _, _, _, _ = scene
         got = navigator.localize_goal(graph, feat, np.array([np.nan, 0, 0]))
         assert got == ref_goal_by_cosine(graph, feat)
+
+
+# -- the policy memo ------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["four_rooms", "maze"])
+def trained(request):
+    """(cfg, graph, net, encoder) after a short training run on one map."""
+    cfg = cfgmod.make_config({"env.map": request.param, "seed": 0,
+                              "learner.total_steps": 1000})
+    graph = cli.build_graph(cfg)
+    enc = cli.build_encoder(cfg)
+    result = learner.training_loop(cli.build_env(cfg), graph, enc, cfg)
+    return cfg, graph, result.net, enc
+
+
+def run_episodes(env, graph, net, enc, pairs, seed, memo_for):
+    """Episodes set up as ``cli.run_eval`` sets them up, in order, on one
+    rng; ``memo_for()`` gives each episode's memo."""
+    ox, oy = graph.origin[0], graph.origin[1]
+    rng = np.random.default_rng(seed)
+    results = []
+    for (sx, sy), (gx, gy) in pairs:
+        state = AgentState(x=sx, y=sy, start=(sx, sy),
+                           pose_est=np.array([sx - ox, sy - oy, 0.0]))
+        goal_obs = env.observation_at(gx, gy, np.array([gx - ox, gy - oy,
+                                                        0.0]))
+        results.append(navigator.execute(
+            env, state, graph, net, enc, env.observe(state), goal_obs, rng,
+            max_steps=60, subgoal_budget=15, memo=memo_for()))
+    return results
+
+
+def outcome(res):
+    final = res.final_state
+    return (res.success, res.steps, res.path_length, res.final_distance,
+            res.reason, res.replans, final.x, final.y, final.heading,
+            final.pose_est.tobytes())
+
+
+def memo_input(key, graph, enc, patch_like):
+    """The policy input a memo key stands for."""
+    patch_bytes, target, rel_bytes = key
+    view = np.frombuffer(patch_bytes, patch_like.dtype).reshape(
+        patch_like.shape)
+    if isinstance(target, bytes):  # final leg: the goal view
+        sub_feat = enc.encode(np.frombuffer(target, patch_like.dtype)
+                              .reshape(patch_like.shape))
+    else:
+        sub_feat = graph.nodes[target].feature
+    return learner.policy_input(enc.encode(view), sub_feat,
+                                np.frombuffer(rel_bytes, float))
+
+
+class TestPolicyMemo:
+    @pytest.mark.parametrize("noise, cap", [(0.0, None), (0.2, 64)])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_shared_memo_matches_fresh_memos(self, trained, noise, cap,
+                                             data):
+        """One memo shared by every episode gives the results of a fresh
+        memo per episode, and holds softmax(forward(x)) for each key's x.
+        Under noise keys rarely repeat; there the memo also stops growing
+        at its cap."""
+        cfg, graph, net, enc = trained
+        env = cli.build_env(cfg, noise=noise)
+        cells = env.grid.free_cells()
+        cell = st.sampled_from(cells)
+        pairs = data.draw(st.lists(st.tuples(cell, cell), min_size=1,
+                                   max_size=6))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        shared = {}
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(navigator, "MEMO_ENTRIES", cap)
+            got = run_episodes(env, graph, net, enc, pairs, seed,
+                               lambda: shared)
+            want = run_episodes(env, graph, net, enc, pairs, seed, dict)
+        assert [outcome(r) for r in got] == [outcome(r) for r in want]
+        assert len(shared) <= (cap or navigator.MEMO_ENTRIES)
+        patch_like = env.observe(env.spawn(np.random.default_rng(0))).patch
+        for key, probs in shared.items():
+            x = memo_input(key, graph, enc, patch_like)
+            assert np.array_equal(probs, softmax(net.forward(x)[0])[0])
+
+    def test_memo_is_reused_across_episodes(self, trained):
+        cfg, graph, net, enc = trained
+        env = cli.build_env(cfg, noise=0.0)
+        cells = env.grid.free_cells()
+        pairs = [(cells[0], cells[-1])] * 3
+        memo = {}
+        first = run_episodes(env, graph, net, enc, pairs[:1], 0, lambda: memo)
+        size = len(memo)
+        again = run_episodes(env, graph, net, enc, pairs, 0, lambda: memo)
+        assert size > 0 and len(memo) == size
+        assert all(outcome(r) == outcome(first[0]) for r in again)
