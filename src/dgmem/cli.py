@@ -130,8 +130,8 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
 
     Episode pose frames are anchored to the training spawn recorded in the
     graph snapshot; this uses ground truth for setup and scoring only. The
-    network and graph stay fixed throughout, so all episodes share one policy
-    memo, and each distinct goal cell gets one oracle BFS.
+    network and graph stay fixed throughout, so all episodes share one
+    ``navigator.Memo``, and each distinct goal cell gets one oracle BFS.
     """
     episodes = int(cfg["eval.episodes"])
     if episodes <= 0:
@@ -139,7 +139,7 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
     origin = graph.origin or (0.0, 0.0, 0.0)
     cells = env.grid.free_cells()
     records = []
-    memo: dict = {}
+    memo = navigator.Memo()
     to_goal: dict = {}  # goal cell -> metrics.grid_distances from it
     for _ in range(episodes):
         start = cells[int(rng.integers(len(cells)))]

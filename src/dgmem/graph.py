@@ -411,8 +411,9 @@ class GraphMemory:
     def restore(cls, text: str) -> "GraphMemory":
         """Rebuild a graph from snapshot text; never mutates on failure.
 
-        Node ids must be exactly 0..n-1 in order, poses 3 finite numbers,
-        features finite vectors of one length, edge directions "ij" or "ji",
+        Node ids must be exactly 0..n-1 in order, poses and the origin 3
+        finite numbers, features finite vectors of one length, edges
+        distinct (i, j) node pairs with i < j and direction "ij" or "ji",
         and ``current`` None or a node id; anything else raises
         SnapshotError.
         """
@@ -424,13 +425,20 @@ class GraphMemory:
         except json.JSONDecodeError as exc:
             raise SnapshotError(f"malformed snapshot: {exc.msg}",
                                 len(header) + 1 + exc.pos) from exc
+        except RecursionError as exc:
+            raise SnapshotError("snapshot nests too deeply",
+                                len(header) + 1) from exc
         try:
             th = doc["thresholds"]
             graph = cls(d_c=th["d_c"], d_s=th["d_s"], d_e=th["d_e"],
                         alpha_sim=th["alpha_sim"], d_locate=th["d_locate"],
                         traj_cap=th["traj_cap"])
             if doc.get("origin") is not None:
-                graph.origin = tuple(doc["origin"])
+                graph.origin = tuple(float(v) for v in doc["origin"])
+                if (len(graph.origin) != 3
+                        or not np.isfinite(graph.origin).all()):
+                    raise SnapshotError(f"origin {doc['origin']!r} is not 3 "
+                                        f"finite numbers")
             for rec in doc["nodes"]:
                 node = Node(int(rec["id"]), np.array(rec["feature"], float),
                             np.array(rec["pose"], float), int(rec["count"]),
@@ -457,6 +465,9 @@ class GraphMemory:
                 i, j = int(rec["i"]), int(rec["j"])
                 if i not in graph.nodes or j not in graph.nodes:
                     raise SnapshotError(f"edge ({i},{j}) references missing node")
+                if i >= j or (i, j) in graph.edges:
+                    raise SnapshotError(f"edge ({i},{j}) is not a new pair "
+                                        f"of nodes in canonical order")
                 if rec["direction"] not in ("ij", "ji"):
                     raise SnapshotError(f"edge ({i},{j}) has direction "
                                         f"{rec['direction']!r}")
@@ -470,7 +481,8 @@ class GraphMemory:
             current = doc.get("current")
             if current is not None and current not in graph.nodes:
                 raise SnapshotError(f"current node {current!r} is not a node")
-            graph.current = graph._last_node = current
-        except (KeyError, TypeError, ValueError) as exc:
+            graph.current = graph._last_node = (
+                None if current is None else int(current))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
         return graph

@@ -8,7 +8,7 @@ the state for evaluation bookkeeping only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,12 +67,17 @@ class GridMap:
 
     ``tiles`` is indexed ``tiles[x, y]``; boundary cells are walls.
     ``rooms[x, y]`` is a small room label for free cells and -1 for walls.
+    ``tiles`` becomes read-only once a patch has been taken on the map,
+    since such patches read a wall-padded copy of it.
     """
 
     width: int
     height: int
     tiles: np.ndarray
     rooms: np.ndarray
+    # patch size -> tiles with a wall border of half that size
+    _padded: Dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -85,11 +90,25 @@ class GridMap:
         return list(zip(xs.tolist(), ys.tolist()))
 
     def patch(self, x: int, y: int, k: int = 5) -> np.ndarray:
-        """k x k tile window centered on (x, y); out-of-bounds reads as wall.
+        """Read-only k x k tile window centered on (x, y); out-of-bounds
+        reads as wall.
 
-        ``k`` must be odd. The in-bounds part of the window is one slice of
-        ``tiles`` copied into a wall-filled array.
+        ``k`` must be odd. For a centre on the map the window is a view of
+        one wall-padded copy of ``tiles``, made on the first window of size
+        ``k`` and shared by all later ones. Elsewhere the in-bounds part of
+        the window is copied into a wall-filled array.
         """
+        if 0 <= x < self.width and 0 <= y < self.height:
+            padded = self._padded.get(k)
+            if padded is None:
+                r = k // 2
+                padded = np.full((self.width + 2 * r, self.height + 2 * r),
+                                 WALL, dtype=np.int8)
+                padded[r:r + self.width, r:r + self.height] = self.tiles
+                padded.flags.writeable = False
+                self.tiles.flags.writeable = False
+                self._padded[k] = padded
+            return padded[x:x + k, y:y + k]
         r = k // 2
         out = np.full((k, k), WALL, dtype=np.int8)
         x0, x1 = max(x - r, 0), min(x + r + 1, self.width)
@@ -97,6 +116,7 @@ class GridMap:
         if x0 < x1 and y0 < y1:
             out[x0 - x + r:x1 - x + r, y0 - y + r:y1 - y + r] = \
                 self.tiles[x0:x1, y0:y1]
+        out.flags.writeable = False
         return out
 
     def to_text(self) -> str:
@@ -286,7 +306,7 @@ class AgentState:
 
 @dataclass
 class Observation:
-    patch: np.ndarray
+    patch: np.ndarray  # read-only, usually a view of the map's tiles
     pose_est: np.ndarray
     collided: bool = False
 

@@ -10,6 +10,8 @@ stored on sampled graph edges, regularized toward the pre-update policy.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -211,9 +213,11 @@ class CheckpointError(Exception):
 def load_checkpoint(path: str) -> ActorCritic:
     """Rebuild the network written by ``save_checkpoint``.
 
-    The manifest must list exactly the layers of ``ActorCritic(input_dim,
-    n_actions, hidden)``, in order and with their shapes, and the file must
-    end with the last layer's weights; anything else raises CheckpointError.
+    The manifest must give positive sizes and list exactly the layers of
+    ``ActorCritic(input_dim, n_actions, hidden)``, in order and with their
+    shapes, and the file must end with the last layer's weights; anything
+    else raises CheckpointError. Sizes are checked against the file before
+    any weights are allocated.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode(errors="replace").strip()
@@ -221,25 +225,35 @@ def load_checkpoint(path: str) -> ActorCritic:
             raise CheckpointError(f"bad checkpoint header {header!r}")
         try:
             manifest = json.loads(fh.readline().decode())
-            net = ActorCritic(manifest["input_dim"], manifest["n_actions"],
-                              tuple(manifest["hidden"]))
+            input_dim = int(manifest["input_dim"])
+            n_actions = int(manifest["n_actions"])
+            hidden = tuple(int(h) for h in manifest["hidden"])
             layers = [(layer["name"], tuple(layer["shape"]))
                       for layer in manifest["layers"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            expected = []
+            for name, fan_in, fan_out in ActorCritic.layers(
+                    input_dim, n_actions, hidden):
+                expected += [(f"{name}.w", (fan_in, fan_out)),
+                             (f"{name}.b", (fan_out,))]
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
             raise CheckpointError(f"bad checkpoint manifest: {exc!r}") from exc
-        expected = [(name, value.shape) for name, value in net.params.items()]
+        if min(input_dim, n_actions, *hidden) < 1:
+            raise CheckpointError(f"checkpoint sizes {input_dim}, "
+                                  f"{n_actions}, {hidden} are not positive")
         if layers != expected:
             raise CheckpointError(f"checkpoint layers {layers} are not the "
                                   f"layers {expected} of its network")
-        for name, shape in expected:
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointError("truncated checkpoint weights")
-            net.params[name] = np.frombuffer(buf, dtype="<f8").reshape(
-                shape).copy()
-        if fh.read(1):
+        counts = [math.prod(shape) for _, shape in expected]
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < 8 * sum(counts):
+            raise CheckpointError("truncated checkpoint weights")
+        if left > 8 * sum(counts):
             raise CheckpointError("trailing bytes after checkpoint weights")
+        net = ActorCritic(input_dim, n_actions, hidden)
+        for (name, shape), count in zip(expected, counts):
+            net.params[name] = np.frombuffer(
+                fh.read(8 * count), dtype="<f8").reshape(shape).copy()
     return net
 
 

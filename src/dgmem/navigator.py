@@ -19,36 +19,45 @@ only the agent's own memory, never ground truth.
 
 Every per-node test here (subgoal arrival, drift matching, goal placement)
 is one array expression over ``GraphMemory.scores``, so the scoring rule
-itself lives only in the graph. Each step queries the graph once for its
-(feature, pose estimate), and again only when drift correction moved the
+itself lives only in the graph. Each step uses one graph query for its
+(feature, pose estimate), and a second only when drift correction moved the
 pose estimate.
 
-Each decision's action probabilities are a pure function of the current
-view, the target (a route node, or the goal view on the final leg) and the
-relative pose, so ``execute`` evaluates the network once per distinct
-(patch, target, relative pose) key and keeps the result in a memo. The memo
-is valid only while the network is frozen, the graph is read-only and the
-encoder is deterministic: one evaluation run over fixed artifacts may share
-one memo across its episodes, anything that trains or writes the graph may
-not. Under odometry noise the relative pose rarely repeats, so the memo stops
-taking entries at MEMO_ENTRIES.
+During an evaluation the network is frozen, the graph is read-only and the
+encoder is deterministic, so every decision is a function of what the agent
+sees and believes: the policy's action probabilities of (current
+view, target, relative pose), where the target is a route node or, on the
+final leg, the goal view; the step's graph query of (view, pose estimate);
+the drift correction of that query and its radius; and a route of its
+(source, destination) nodes. ``execute`` keeps each of these in a ``Memo``
+and computes an entry only on a miss. One evaluation run over fixed
+artifacts may share one memo across its episodes; anything that trains or
+writes the graph may not. Under odometry noise the pose rarely repeats, so
+each table stops taking entries at its bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .encoder import PatchEncoder
 from .graph import GraphMemory
-from .gridworld import AgentState, GridEnv, Observation, action_effect
+from .gridworld import (CARDINAL_ACTIONS, ORIENTATION_ACTIONS, AgentState,
+                        GridEnv, Observation, action_effect)
 from .learner import policy_input
 from .nn import ActorCritic, softmax
 
-# At about 0.5 KB per entry this bounds the memo near 4 MB. A noise-free
-# 1000-episode FourRooms evaluation needs about 2.2k entries.
+# Bounds of the Memo tables. On the benchmark graph (71 nodes) a policy
+# entry takes about 0.4 KB and a graph query about 2 KB. A noise-free
+# 1000-episode FourRooms evaluation needs about 2.2k policy entries, 256
+# queries, 1.5k drift fixes and 0.8k routes; under odometry noise, where
+# every table fills, they add about 6 MB.
 MEMO_ENTRIES = 1 << 13
+QUERY_ENTRIES = 1 << 9
+DRIFT_ENTRIES = 1 << 11
+ROUTE_ENTRIES = 1 << 11
 
 
 @dataclass
@@ -92,12 +101,42 @@ class _Query(NamedTuple):
     combined: np.ndarray  # the graph's localization score
     d_vis: np.ndarray  # negative feature cosine
     planar: np.ndarray  # (x, y) distance to the pose estimate
+    nearest: int  # the node the graph localizes the observation on
 
 
 def _query(graph: GraphMemory, feat: np.ndarray, pose: np.ndarray) -> _Query:
     _, d_vis, combined = graph.scores(feat, pose)
     diff = graph.poses[:, :2] - np.asarray(pose, float)[:2]
-    return _Query(combined, d_vis, np.sqrt((diff * diff).sum(axis=1)))
+    planar = np.sqrt((diff * diff).sum(axis=1))
+    for column in (combined, d_vis, planar):
+        column.flags.writeable = False
+    return _Query(combined, d_vis, planar, int(np.argmin(combined)))
+
+
+class Memo:
+    """Bounded tables of evaluation answers, one per kind of decision.
+
+    ``policy`` maps (view bytes, target, relative-pose bytes) to the action
+    probabilities as floats, ``query`` maps (view bytes, pose bytes) to a
+    ``_Query``, ``drift`` maps (that key, radius) to ``_drift_correction``'s
+    offset or None, and ``route`` maps (source, destination) to the
+    ``weighted_path`` route. Valid only under the contract in the module
+    docstring; each table takes no entries beyond its bound.
+    """
+
+    def __init__(self):
+        self.policy: dict = {}
+        self.query: dict = {}
+        self.drift: dict = {}
+        self.route: dict = {}
+
+
+_MISSING = object()
+
+
+def _keep(table: dict, bound: int, key, value) -> None:
+    if len(table) < bound:
+        table[key] = value
 
 
 def _advance_cursor(graph: GraphMemory, plan: "NavPlan", q: _Query,
@@ -120,10 +159,18 @@ def _advance_cursor(graph: GraphMemory, plan: "NavPlan", q: _Query,
     return True
 
 
-def _select_action(probs: np.ndarray, pose: np.ndarray, variant: str,
+# (dx, dy) of each action, by variant and heading: action_effect's rule
+_MOVES = {(variant, heading): tuple(action_effect(variant, a, heading)[:2]
+                                    for a in actions)
+          for variant, actions in (("cardinal", CARDINAL_ACTIONS),
+                                   ("orientation", ORIENTATION_ACTIONS))
+          for heading in range(4)}
+
+
+def _select_action(probs: Sequence[float], pose: np.ndarray, variant: str,
                    visits: dict, blocked: dict,
                    revisit_penalty: float) -> int:
-    """Score each action and return the argmax.
+    """Score each action and return the first argmax.
 
     score(a) = policy probability ``probs[a]`` - revisit_penalty * prior
     visits of the predicted next cell - a large penalty if the action
@@ -133,16 +180,21 @@ def _select_action(probs: np.ndarray, pose: np.ndarray, variant: str,
     the goal direction, so all goal-seeking comes from the policy.
     """
     cell = _pose_cell(pose)
-    heading = int(round(float(pose[2]))) % 4
-    scores = np.empty(len(probs))
+    moves = _MOVES[variant, int(round(float(pose[2]))) % 4]
+    if len(probs) > len(moves):
+        raise ValueError(f"{len(probs)} action probabilities for the "
+                         f"{len(moves)} actions of the {variant} variant")
+    tried = blocked.get(cell, ())
+    best, best_score = 0, None
     for action in range(len(probs)):
-        dx, dy, _ = action_effect(variant, action, heading)
+        dx, dy = moves[action]
         nxt = (round(cell[0] + dx, 1), round(cell[1] + dy, 1))
         score = probs[action] - revisit_penalty * visits.get(nxt, 0)
-        if action in blocked.get(cell, ()):
+        if action in tried:
             score -= 10.0
-        scores[action] = score
-    return int(np.argmax(scores))
+        if best_score is None or score > best_score:
+            best, best_score = action, score
+    return best
 
 
 def _pose_cell(pose: np.ndarray) -> Tuple[float, float]:
@@ -167,6 +219,7 @@ def _drift_correction(graph: GraphMemory, q: _Query,
         return None  # no match, or two nearby nodes look identical
     offset = graph.poses[match[0]] - pose
     offset[2:] = 0.0
+    offset.flags.writeable = False
     return offset
 
 
@@ -178,16 +231,16 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             success_radius: float = 1.0,
             subgoal_radius: float = 2.0,
             revisit_penalty: float = 0.1,
-            memo: Optional[dict] = None) -> EpisodeResult:
+            memo: Optional[Memo] = None) -> EpisodeResult:
     """Run one hierarchical navigation episode; returns the outcome record.
 
     Pose estimates of start and goal observations must share the graph's
-    coordinate frame. ``memo`` holds the policy's action probabilities by
-    decision key (see the module docstring for when it may be shared); by
-    default each episode starts a fresh one.
+    coordinate frame. ``memo`` holds the answers of earlier decisions (see
+    the module docstring for when it may be shared); by default each
+    episode starts a fresh one.
     """
     if memo is None:
-        memo = {}
+        memo = Memo()
     goal_feat = enc.encode(goal_obs.patch)
     goal_pose = np.asarray(goal_obs.pose_est, float)
 
@@ -202,6 +255,22 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         return (float(goal_feat @ feat) >= 0.999
                 and _dist_to_goal(pose) < success_radius + 1.5)
 
+    def _look(view_key: bytes, feat, pose) -> Tuple[tuple, _Query]:
+        """The graph query for the current view and pose, and its key."""
+        key = (view_key, pose.tobytes())
+        q = memo.query.get(key)
+        if q is None:
+            q = _query(graph, feat, pose)
+            _keep(memo.query, QUERY_ENTRIES, key, q)
+        return key, q
+
+    def _route(src: int, dst: int) -> List[int]:
+        route = memo.route.get((src, dst))
+        if route is None:
+            route = tuple(graph.weighted_path(src, dst))
+            _keep(memo.route, ROUTE_ENTRIES, (src, dst), route)
+        return list(route)
+
     feat = enc.encode(start_obs.patch)
     if _at_goal(feat, start_obs.pose_est):
         return EpisodeResult(True, 0, 0, _dist_to_goal(start_obs.pose_est),
@@ -210,20 +279,21 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         return EpisodeResult(False, 0, 0, _dist_to_goal(start_obs.pose_est),
                              "empty_graph", final_state=state)
     obs = start_obs
+    view_key = obs.patch.tobytes()
     # drift-corrected pose estimate: odometry plus the cumulative offset
     # from re-anchoring on visually recognized memory nodes
     corr = np.zeros_like(np.asarray(start_obs.pose_est, float))
     pose = np.asarray(obs.pose_est, float) + corr
-    _, _, start_node = graph.similarity(feat, pose)
+    _, q = _look(view_key, feat, pose)
     goal_node = localize_goal(graph, goal_feat, goal_pose)
-    route = graph.weighted_path(start_node, goal_node)
+    route = _route(q.nearest, goal_node)
     if not route:
         return EpisodeResult(False, 0, 0, _dist_to_goal(pose),
                              "unreachable", final_state=state)
     plan = NavPlan(goal_node, route, subgoal_budget=subgoal_budget)
     # consume any route waypoints already satisfied at the start, so the
     # executor never walks back to touch a node behind it
-    _advance_cursor(graph, plan, _query(graph, feat, pose), subgoal_radius)
+    _advance_cursor(graph, plan, q, subgoal_radius)
     goal_key = goal_obs.patch.tobytes()  # final-leg target: the goal view
 
     steps = 0
@@ -242,18 +312,18 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         cell = _pose_cell(pose)
         visits[cell] = visits.get(cell, 0) + 1
         rel = sub_pose - pose
-        # the policy input is a function of this key: feat of the patch,
+        # the policy input is a function of this key: feat of the view,
         # sub_feat of the target, and rel itself
-        key = (obs.patch.tobytes(), target, rel.tobytes())
-        probs = memo.get(key)
+        key = (view_key, target, rel.tobytes())
+        probs = memo.policy.get(key)
         if probs is None:
             x = policy_input(feat, sub_feat, rel)
-            probs = softmax(net.forward(x)[0])[0]
-            if len(memo) < MEMO_ENTRIES:
-                memo[key] = probs
+            probs = tuple(softmax(net.forward(x)[0])[0].tolist())
+            _keep(memo.policy, MEMO_ENTRIES, key, probs)
         action = _select_action(probs, pose, env.variant, visits, blocked,
                                 revisit_penalty)
         state, obs = env.step(state, action, rng)
+        view_key = obs.patch.tobytes()
         feat = enc.encode(obs.patch)
         steps += 1
         budget_left -= 1
@@ -261,15 +331,18 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             blocked.setdefault(cell, set()).add(action)
 
         pose = np.asarray(obs.pose_est, float) + corr
-        q = _query(graph, feat, pose)
+        query_key, q = _look(view_key, feat, pose)
         # widen the matching prior as uncorrected steps accumulate, since
         # drift grows with time since the last re-anchor
-        offset = _drift_correction(
-            graph, q, pose, radius=min(3.0 + 0.25 * steps_since_fix, 8.0))
+        radius = min(3.0 + 0.25 * steps_since_fix, 8.0)
+        offset = memo.drift.get((query_key, radius), _MISSING)
+        if offset is _MISSING:
+            offset = _drift_correction(graph, q, pose, radius=radius)
+            _keep(memo.drift, DRIFT_ENTRIES, (query_key, radius), offset)
         if offset is not None:
             corr = corr + offset
             pose = np.asarray(obs.pose_est, float) + corr
-            q = _query(graph, feat, pose)
+            _, q = _look(view_key, feat, pose)
             steps_since_fix = 0
         else:
             steps_since_fix += 1
@@ -288,8 +361,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
                                      _dist_to_goal(pose),
                                      "replan_exhausted", plan.replans,
                                      final_state=state)
-            _, _, here = graph.similarity(feat, pose)
-            route = graph.weighted_path(here, plan.goal_node)
+            route = _route(q.nearest, plan.goal_node)
             if not route:
                 return EpisodeResult(False, steps, steps,
                                      _dist_to_goal(pose),

@@ -8,7 +8,7 @@ from-scratch Adam.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,12 +35,19 @@ class ActorCritic:
         self.n_actions = int(n_actions)
         self.hidden = tuple(int(h) for h in hidden)
         rng = np.random.default_rng(seed)
-        h1, h2 = self.hidden
         self.params: Dict[str, np.ndarray] = {}
-        self._init_layer(rng, "fc1", input_dim, h1)
-        self._init_layer(rng, "fc2", h1, h2)
-        self._init_layer(rng, "actor", h2, n_actions)
-        self._init_layer(rng, "critic", h2, 1)
+        for name, fan_in, fan_out in self.layers(self.input_dim,
+                                                 self.n_actions, self.hidden):
+            self._init_layer(rng, name, fan_in, fan_out)
+
+    @staticmethod
+    def layers(input_dim: int, n_actions: int,
+               hidden: Tuple[int, int]) -> List[Tuple[str, int, int]]:
+        """(name, fan_in, fan_out) of each layer, in parameter order; each
+        layer has a ``<name>.w`` and a ``<name>.b`` parameter."""
+        h1, h2 = hidden
+        return [("fc1", input_dim, h1), ("fc2", h1, h2),
+                ("actor", h2, n_actions), ("critic", h2, 1)]
 
     def _init_layer(self, rng, name: str, fan_in: int, fan_out: int) -> None:
         bound = 1.0 / np.sqrt(fan_in)

@@ -103,6 +103,72 @@ class TestPatch:
             assert four_rooms.patch(x, y, 5)[2, 2] == four_rooms.tiles[x, y]
 
 
+TEXT_MAP = """\
+###########
+#..1#.....#
+#...#..2..#
+#.......###
+#3..#.....#
+###########
+"""
+
+
+def slice_patch(grid, x, y, k):
+    """Reference window: the clipped slice of ``tiles`` copied into a
+    wall-filled array."""
+    r = k // 2
+    out = np.full((k, k), gw.WALL, dtype=np.int8)
+    x0, x1 = max(x - r, 0), min(x + r + 1, grid.width)
+    y0, y1 = max(y - r, 0), min(y + r + 1, grid.height)
+    if x0 < x1 and y0 < y1:
+        out[x0 - x + r:x1 - x + r, y0 - y + r:y1 - y + r] = \
+            grid.tiles[x0:x1, y0:y1]
+    return out
+
+
+def view_grids(four_rooms):
+    return {"four_rooms": four_rooms, "maze": gw.make_maze(21, 17, seed=1),
+            "text": gw.map_from_text(TEXT_MAP)}
+
+
+class TestPatchViews:
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("name", ["four_rooms", "maze", "text"])
+    def test_free_cell_views_match_references(self, four_rooms, name, k):
+        grid = view_grids(four_rooms)[name]
+        for x, y in grid.free_cells():
+            got = grid.patch(x, y, k)
+            assert got.dtype == np.int8 and got.shape == (k, k)
+            assert np.array_equal(got, loop_patch(grid, x, y, k)), (x, y, k)
+            assert np.array_equal(got, slice_patch(grid, x, y, k)), (x, y, k)
+
+    @pytest.mark.parametrize("name", ["four_rooms", "maze", "text"])
+    def test_patches_are_read_only(self, four_rooms, name):
+        grid = view_grids(four_rooms)[name]
+        for x, y in ((1, 1), (0, 0), (-2, 3), (grid.width, grid.height)):
+            patch = grid.patch(x, y, 5)
+            assert not patch.flags.writeable
+            with pytest.raises(ValueError):
+                patch[0, 0] = gw.FREE
+        # the padded copy would go stale if tiles changed after a patch
+        with pytest.raises(ValueError):
+            grid.tiles[1, 1] = gw.WALL
+
+    def test_views_of_one_cell_share_memory(self, four_rooms):
+        a, b = four_rooms.patch(3, 3, 5), four_rooms.patch(4, 3, 5)
+        assert np.shares_memory(a, b)
+        assert four_rooms.patch(3, 3, 5).base is a.base
+
+    def test_observations_are_map_views(self, env, rng):
+        state = env.spawn(rng)
+        for _ in range(50):
+            state, obs = env.step(state, int(rng.integers(env.n_actions)),
+                                  rng)
+            assert not obs.patch.flags.writeable
+            assert np.array_equal(obs.patch,
+                                  loop_patch(env.grid, state.x, state.y, 5))
+
+
 class TestCardinalStep:
     def test_moves_match_deltas(self, env, rng):
         state = gw.AgentState(x=3, y=3, start=(3, 3))

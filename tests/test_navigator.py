@@ -294,29 +294,50 @@ def outcome(res):
 
 
 def memo_input(key, graph, enc, patch_like):
-    """The policy input a memo key stands for."""
+    """The policy input a policy-table key stands for."""
     patch_bytes, target, rel_bytes = key
-    view = np.frombuffer(patch_bytes, patch_like.dtype).reshape(
-        patch_like.shape)
     if isinstance(target, bytes):  # final leg: the goal view
-        sub_feat = enc.encode(np.frombuffer(target, patch_like.dtype)
-                              .reshape(patch_like.shape))
+        sub_feat = enc.encode(as_view(target, patch_like))
     else:
         sub_feat = graph.nodes[target].feature
-    return learner.policy_input(enc.encode(view), sub_feat,
-                                np.frombuffer(rel_bytes, float))
+    return learner.policy_input(enc.encode(as_view(patch_bytes, patch_like)),
+                                sub_feat, np.frombuffer(rel_bytes, float))
+
+
+def as_view(view_bytes, patch_like):
+    return np.frombuffer(view_bytes, patch_like.dtype).reshape(
+        patch_like.shape)
+
+
+def fresh_query(key, graph, enc, patch_like):
+    """The graph query a query-table key stands for, and its pose."""
+    view_bytes, pose_bytes = key
+    pose = np.frombuffer(pose_bytes, float)
+    return navigator._query(graph, enc.encode(as_view(view_bytes, patch_like)),
+                            pose), pose
+
+
+SMALL_BOUNDS = {"MEMO_ENTRIES": 64, "QUERY_ENTRIES": 16,
+                "DRIFT_ENTRIES": 32, "ROUTE_ENTRIES": 8}
+TABLES = {"policy": "MEMO_ENTRIES", "query": "QUERY_ENTRIES",
+          "drift": "DRIFT_ENTRIES", "route": "ROUTE_ENTRIES"}
 
 
 class TestPolicyMemo:
-    @pytest.mark.parametrize("noise, cap", [(0.0, None), (0.2, 64)])
+    # ids: noise, then the policy bound (None: the module's bounds)
+    @pytest.mark.parametrize("noise, bounds", [
+        pytest.param(0.0, None, id="0.0-None"),
+        pytest.param(0.0, SMALL_BOUNDS, id="0.0-64"),
+        pytest.param(0.2, SMALL_BOUNDS, id="0.2-64")])
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_shared_memo_matches_fresh_memos(self, trained, noise, cap,
+    def test_shared_memo_matches_fresh_memos(self, trained, noise, bounds,
                                              data):
         """One memo shared by every episode gives the results of a fresh
-        memo per episode, and holds softmax(forward(x)) for each key's x.
-        Under noise keys rarely repeat; there the memo also stops growing
-        at its cap."""
+        memo per episode and of a memo that keeps nothing, and each of its
+        entries equals a fresh computation: softmax(forward(x)) for a policy key's x, the graph
+        query, the drift offset and the weighted route. Every table stays
+        within its bound."""
         cfg, graph, net, enc = trained
         env = cli.build_env(cfg, noise=noise)
         cells = env.grid.free_cells()
@@ -324,28 +345,51 @@ class TestPolicyMemo:
         pairs = data.draw(st.lists(st.tuples(cell, cell), min_size=1,
                                    max_size=6))
         seed = data.draw(st.integers(0, 2 ** 16))
-        shared = {}
+        shared = navigator.Memo()
         with pytest.MonkeyPatch.context() as mp:
-            if cap is not None:
-                mp.setattr(navigator, "MEMO_ENTRIES", cap)
+            for name, bound in (bounds or {}).items():
+                mp.setattr(navigator, name, bound)
             got = run_episodes(env, graph, net, enc, pairs, seed,
                                lambda: shared)
-            want = run_episodes(env, graph, net, enc, pairs, seed, dict)
+            want = run_episodes(env, graph, net, enc, pairs, seed,
+                                navigator.Memo)
+            limits = {table: getattr(navigator, name)
+                      for table, name in TABLES.items()}
+            for name in TABLES.values():  # nothing kept: every answer fresh
+                mp.setattr(navigator, name, 0)
+            uncached = run_episodes(env, graph, net, enc, pairs, seed,
+                                    navigator.Memo)
         assert [outcome(r) for r in got] == [outcome(r) for r in want]
-        assert len(shared) <= (cap or navigator.MEMO_ENTRIES)
+        assert [outcome(r) for r in got] == [outcome(r) for r in uncached]
+        for table, limit in limits.items():
+            assert len(getattr(shared, table)) <= limit, table
         patch_like = env.observe(env.spawn(np.random.default_rng(0))).patch
-        for key, probs in shared.items():
+        for key, probs in shared.policy.items():
             x = memo_input(key, graph, enc, patch_like)
             assert np.array_equal(probs, softmax(net.forward(x)[0])[0])
+        for key, q in shared.query.items():
+            fresh, _ = fresh_query(key, graph, enc, patch_like)
+            assert q.nearest == fresh.nearest
+            for column in ("combined", "d_vis", "planar"):
+                assert np.array_equal(getattr(q, column),
+                                      getattr(fresh, column))
+        for (key, radius), offset in shared.drift.items():
+            q, pose = fresh_query(key, graph, enc, patch_like)
+            fresh = navigator._drift_correction(graph, q, pose, radius=radius)
+            assert (offset is None) == (fresh is None)
+            assert offset is None or np.array_equal(offset, fresh)
+        for (src, dst), route in shared.route.items():
+            assert list(route) == graph.weighted_path(src, dst)
 
     def test_memo_is_reused_across_episodes(self, trained):
         cfg, graph, net, enc = trained
         env = cli.build_env(cfg, noise=0.0)
         cells = env.grid.free_cells()
         pairs = [(cells[0], cells[-1])] * 3
-        memo = {}
+        memo = navigator.Memo()
         first = run_episodes(env, graph, net, enc, pairs[:1], 0, lambda: memo)
-        size = len(memo)
+        sizes = {table: len(getattr(memo, table)) for table in TABLES}
         again = run_episodes(env, graph, net, enc, pairs, 0, lambda: memo)
-        assert size > 0 and len(memo) == size
+        assert all(sizes[t] > 0 for t in ("policy", "query", "route"))
+        assert sizes == {table: len(getattr(memo, table)) for table in TABLES}
         assert all(outcome(r) == outcome(first[0]) for r in again)

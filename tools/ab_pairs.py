@@ -1,0 +1,128 @@
+"""Compare two checkouts on one benchmark workload with alternating pairs.
+
+For each seed, runs ``benchmark/run.py`` once in each checkout, one process
+at a time, the parent first on even pairs and the change first on odd ones.
+Prints each pair's end-to-end metrics and whether the two runs' round
+outputs agree, then per metric the medians, quartiles and the change's wins
+(ties count for neither side), and whether a gain is claimable: the change
+wins at least nine tenths of the pairs and the medians differ by more than
+the parent's interquartile range. The last line is the summary as JSON.
+
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload navigate \\
+        --seeds 10-19 --seconds 20
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from typing import Dict, List, Sequence, Tuple
+
+
+def parse_seeds(text: str) -> List[int]:
+    """``"3"``, ``"0-9"`` or ``"1,4,7"`` (ranges inclusive) as a list."""
+    seeds: List[int] = []
+    for part in text.split(","):
+        lo, sep, hi = part.partition("-")
+        seeds += list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+    return seeds
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
+    """Per-metric medians, quartiles and wins of the change over the parent.
+
+    ``pairs`` holds one ``{"parent": {metric: value}, "change": {metric:
+    value}, "outputs_equal": bool}`` per pair; ``better`` maps each metric
+    to "higher" or "lower".
+    """
+    metrics = {}
+    for name, direction in better.items():
+        old = [p["parent"][name] for p in pairs]
+        new = [p["change"][name] for p in pairs]
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        old_q, new_q = quartiles(old), quartiles(new)
+        old_med, new_med = statistics.median(old), statistics.median(new)
+        metrics[name] = {
+            "better": direction,
+            "parent_median": old_med, "parent_quartiles": old_q,
+            "change_median": new_med, "change_quartiles": new_q,
+            "ratio": new_med / old_med if old_med else None,
+            "wins": wins, "losses": losses,
+            "claimable": (wins >= 0.9 * len(pairs)
+                          and sign * (new_med - old_med) > old_q[1] - old_q[0]),
+        }
+    return {"pairs": len(pairs),
+            "outputs_equal": sum(p["outputs_equal"] for p in pairs),
+            "metrics": metrics}
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float,
+             trace: int) -> Tuple[dict, dict]:
+    """(result, round outputs) of one benchmark run in ``checkout``."""
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    path = os.path.join(checkout, "benchmark", "out",
+                        f"{workload}-seed{seed}-trace{trace}.json")
+    with open(path) as fh:
+        return result, json.load(fh)["round_outputs"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    pairs = []
+    for n, seed in enumerate(args.seeds):
+        sides = ["parent", "change"] if n % 2 == 0 else ["change", "parent"]
+        runs = {side: run_once(getattr(args, side), args.workload, seed,
+                               args.seconds, args.trace) for side in sides}
+        pair = {side: {m: runs[side][0]["metrics"][m]["value"]
+                       for m in better} for side in runs}
+        pair["outputs_equal"] = runs["parent"][1] == runs["change"][1]
+        pair["correct"] = all(runs[s][0]["correct"] for s in runs)
+        pairs.append(pair)
+        shown = "  ".join(f"{m} {pair['parent'][m]:.4g}/{pair['change'][m]:.4g}"
+                          for m in better)
+        print(f"pair {n} seed {seed} ({sides[0]} first): {shown}  "
+              f"outputs {'equal' if pair['outputs_equal'] else 'DIFFER'}  "
+              f"correct {pair['correct']}", flush=True)
+
+    summary = summarize(pairs, better)
+    summary["correct"] = sum(p["correct"] for p in pairs)
+    for name, m in summary["metrics"].items():
+        print(f"{name}: parent {m['parent_median']:.4g} "
+              f"({m['parent_quartiles'][0]:.4g}-{m['parent_quartiles'][1]:.4g})"
+              f" -> change {m['change_median']:.4g} "
+              f"({m['change_quartiles'][0]:.4g}-{m['change_quartiles'][1]:.4g})"
+              f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
+              f", claimable {m['claimable']}")
+    print(json.dumps(summary))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
