@@ -4,13 +4,13 @@ distillation) trained with the same PPO machinery as the main agent.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .encoder import PatchEncoder
 from .gridworld import AgentState, GridEnv
-from .learner import compute_advantages, ppo_update
+from .learner import Rollout, ppo_update
 from .metrics import CoverageTracker
 from .nn import MLP, ActorCritic, Adam
 
@@ -85,7 +85,7 @@ def explore_random(env: GridEnv, steps: int, rng: np.random.Generator,
     tracker.visit(state.x, state.y)
     for t in range(1, steps + 1):
         if episode_len and t % episode_len == 0:
-            state = AgentState(x=home[0], y=home[1], start=home)
+            state = AgentState(x=home[0], y=home[1])
         state, _ = env.step(state, random_policy(env.n_actions, rng), rng)
         tracker.visit(state.x, state.y)
     return tracker
@@ -102,7 +102,7 @@ def explore_straight(env: GridEnv, steps: int, rng: np.random.Generator,
     collided = False
     for t in range(1, steps + 1):
         if episode_len and t % episode_len == 0:
-            state = AgentState(x=home[0], y=home[1], start=home)
+            state = AgentState(x=home[0], y=home[1])
             collided = False
         state, obs = env.step(state, policy.act(collided, rng), rng)
         collided = obs.collided
@@ -138,7 +138,7 @@ def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
     feat = enc.encode(obs.patch)
     pad = np.zeros(enc.feature_dim + 3)
 
-    buf: Dict[str, list] = {k: [] for k in ("x", "a", "logp", "v", "r", "d")}
+    rollout = Rollout()
     for t in range(1, steps + 1):
         x = np.concatenate([feat, pad])
         action, logp, value = net.act(x, rng)
@@ -146,23 +146,16 @@ def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
         next_feat = enc.encode(obs.patch)
         r = model.intrinsic_reward(feat, action, next_feat)
         done = bool(episode_len and t % episode_len == 0)
-        for key, val in zip(("x", "a", "logp", "v", "r", "d"),
-                            (x, action, logp, value, r, done)):
-            buf[key].append(val)
+        rollout.add(x, action, logp, value, r, done)
         feat = next_feat
         tracker.visit(state.x, state.y)
         if done:
-            state = AgentState(x=home[0], y=home[1], start=home)
+            state = AgentState(x=home[0], y=home[1])
             obs = env.observe(state)
             feat = enc.encode(obs.patch)
-        if len(buf["x"]) >= nsteps:
-            nx = np.concatenate([feat, pad])
-            _, lv, _ = net.forward(nx)
-            adv, ret = compute_advantages(
-                np.array(buf["r"]), np.array(buf["v"]),
-                np.array(buf["d"], bool), 0.0 if done else float(lv[0]),
-                normalize=True)
-            ppo_update(net, opt, np.stack(buf["x"]), np.array(buf["a"], int),
-                       np.array(buf["logp"]), adv, ret, lr=1e-4)
-            buf = {k: [] for k in buf}
+        if len(rollout) >= nsteps:
+            last_value = 0.0 if done else float(
+                net.forward(np.concatenate([feat, pad]))[1][0])
+            bx, ba, blogp, adv, ret = rollout.batch(last_value, 0.99, 0.95)
+            ppo_update(net, opt, bx, ba, blogp, adv, ret, lr=1e-4)
     return tracker

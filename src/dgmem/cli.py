@@ -6,13 +6,13 @@ import json
 import logging
 import os
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import baselines, config as cfgmod, learner, metrics, navigator, render
 from .encoder import PatchEncoder
-from .graph import GraphMemory
+from .graph import GraphMemory, SnapshotError
 from .gridworld import (AgentState, GridEnv, GridMap, MapError,
                         make_four_rooms, make_maze, map_from_text)
 
@@ -63,6 +63,29 @@ def build_encoder(cfg: dict) -> PatchEncoder:
                         seed=int(cfg["encoder.seed"]))
 
 
+class ArtifactError(Exception):
+    """A checkpoint or graph snapshot file that cannot be read."""
+
+
+def load_artifacts(checkpoint: Optional[str], graph: Optional[str]
+                   ) -> Tuple[Optional[learner.ActorCritic],
+                              Optional[GraphMemory]]:
+    """(network, graph) from a checkpoint file and a graph snapshot file,
+    None for a path not given. A file that is missing, unreadable or
+    malformed raises ArtifactError naming it."""
+    path = checkpoint
+    try:
+        net = None if path is None else learner.load_checkpoint(path)
+        path = graph
+        if path is None:
+            return net, None
+        with open(path, encoding="utf-8") as fh:
+            return net, GraphMemory.restore(fh.read())
+    except (OSError, UnicodeDecodeError, learner.CheckpointError,
+            SnapshotError) as exc:
+        raise ArtifactError(f"{path}: {exc}") from exc
+
+
 def _load_config(args) -> dict:
     cfg = cfgmod.load_file(args.config) if args.config else cfgmod.make_config()
     if getattr(args, "seed", None) is not None:
@@ -78,22 +101,18 @@ def _load_config(args) -> dict:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    net, graph = None, build_graph(cfg)
+    if args.resume:
+        net, graph = load_artifacts(
+            os.path.join(args.out, "checkpoint_final.ckpt"),
+            os.path.join(args.out, "graph.dgm"))
+        log.info("resumed from %s", args.out)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.yaml"), "w") as fh:
         fh.write(cfgmod.dumps(cfg))
 
     env = build_env(cfg)
     enc = build_encoder(cfg)
-    net = None
-    graph = build_graph(cfg)
-    if args.resume:
-        ckpt = os.path.join(args.out, "checkpoint_final.ckpt")
-        snap = os.path.join(args.out, "graph.dgm")
-        if os.path.exists(ckpt) and os.path.exists(snap):
-            net = learner.load_checkpoint(ckpt)
-            with open(snap) as fh:
-                graph = GraphMemory.restore(fh.read())
-            log.info("resumed from %s", args.out)
 
     log_path = os.path.join(args.out, "train_log.jsonl")
     with open(log_path, "a" if args.resume else "w") as log_fh:
@@ -105,6 +124,8 @@ def cmd_train(args) -> int:
 
         result = learner.training_loop(env, graph, enc, cfg, net=net,
                                        log_writer=writer)
+        for stats in result.update_stats:
+            log_fh.write(json.dumps({"kind": "update", **stats}) + "\n")
 
     learner.save_checkpoint(os.path.join(args.out, "checkpoint_final.ckpt"),
                             result.net)
@@ -144,7 +165,7 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
     for _ in range(episodes):
         start = cells[int(rng.integers(len(cells)))]
         goal = cells[int(rng.integers(len(cells)))]
-        state = AgentState(x=start[0], y=start[1], start=start,
+        state = AgentState(x=start[0], y=start[1],
                            pose_est=np.array([start[0] - origin[0],
                                               start[1] - origin[1], 0.0]))
         start_obs = env.observe(state)
@@ -157,8 +178,7 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
             subgoal_budget=int(cfg["eval.subgoal_budget"]),
             max_replans=int(cfg["eval.max_replans"]),
             success_radius=float(cfg["reward.radius"]), memo=memo)
-        final = result.final_state
-        final_cell = (final.x, final.y) if final is not None else start
+        final_cell = (result.final_state.x, result.final_state.y)
         dist = to_goal.get(goal)
         if dist is None:
             dist = to_goal[goal] = metrics.grid_distances(env.grid, goal)
@@ -173,13 +193,7 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    try:
-        net = learner.load_checkpoint(args.checkpoint)
-        with open(args.graph) as fh:
-            graph = GraphMemory.restore(fh.read())
-    except Exception as exc:
-        print(f"artifact error: {exc}", file=sys.stderr)
-        return 2
+    net, graph = load_artifacts(args.checkpoint, args.graph)
     env = build_env(cfg, noise=float(cfg["eval.noise"]))
     enc = build_encoder(cfg)
     rng = np.random.default_rng(int(cfg["seed"]))
@@ -246,19 +260,12 @@ def cmd_explore(args) -> int:
 def cmd_render(args) -> int:
     cfg = _load_config(args)
     grid = build_map(cfg)
-    graph = None
-    if args.graph:
-        try:
-            with open(args.graph) as fh:
-                graph = GraphMemory.restore(fh.read())
-        except Exception as exc:
-            print(f"artifact error: {exc}", file=sys.stderr)
+    _, graph = load_artifacts(None, args.graph)
+    if graph is not None and graph.origin is not None:
+        ox, oy = graph.origin[0], graph.origin[1]
+        if not grid.in_bounds(int(round(ox)), int(round(oy))):
+            print("graph snapshot does not match the map", file=sys.stderr)
             return 2
-        if graph.origin is not None:
-            ox, oy = graph.origin[0], graph.origin[1]
-            if not grid.in_bounds(int(round(ox)), int(round(oy))):
-                print("graph snapshot does not match the map", file=sys.stderr)
-                return 2
     svg = render.render_svg(grid, graph)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -308,6 +315,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except cfgmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ArtifactError as exc:
+        print(f"artifact error: {exc}", file=sys.stderr)
         return 2
 
 

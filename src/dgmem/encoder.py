@@ -21,17 +21,15 @@ class PatchEncoder:
     """
 
     def __init__(self, feature_dim: int = 128, patch_size: int = 5,
-                 n_tile_kinds: int = gridworld.N_TILE_KINDS, seed: int = 0):
+                 seed: int = 0):
         self.feature_dim = int(feature_dim)
         self.patch_size = int(patch_size)
-        self.n_tile_kinds = int(n_tile_kinds)
-        self.seed = int(seed)
+        kinds = gridworld.N_TILE_KINDS
         rng = np.random.default_rng(seed)
-        n_in = patch_size * patch_size * n_tile_kinds
+        n_in = patch_size * patch_size * kinds
         proj = rng.standard_normal((n_in, feature_dim)) / np.sqrt(n_in)
         # Indexed as [cell position, tile kind, feature] so encoding is a gather.
-        self._proj = proj.reshape(patch_size * patch_size, n_tile_kinds,
-                                  feature_dim)
+        self._proj = proj.reshape(patch_size * patch_size, kinds, feature_dim)
         self._proj.setflags(write=False)
         # Encodings keyed by patch values. The projection is frozen, so each
         # distinct patch is encoded once; an environment's patches are the
@@ -60,7 +58,8 @@ class PatchEncoder:
         return vec
 
 
-def semantic_score(patch: np.ndarray, confidence: float = 1.0) -> float:
-    """Sum of per-landmark confidences over landmark tiles in the patch."""
+def semantic_score(patch: np.ndarray) -> float:
+    """Number of landmark tiles in the patch: each landmark counts with
+    confidence 1."""
     patch = np.asarray(patch)
-    return float(np.count_nonzero(patch >= gridworld.FIRST_LANDMARK) * confidence)
+    return float(np.count_nonzero(patch >= gridworld.FIRST_LANDMARK))

@@ -357,11 +357,6 @@ class GraphMemory:
                     heapq.heappush(heap, (cand[0], cand[1], m))
         return []
 
-    def topo_distance(self, src: int, dst: int) -> Optional[int]:
-        """Hop count of the shortest path, or None when unreachable."""
-        path = self.shortest_path(src, dst)
-        return len(path) - 1 if path else None
-
     def distances_from(self, src: int) -> Dict[int, int]:
         """BFS hop counts from src to every reachable node."""
         self._check_id(src)

@@ -8,7 +8,7 @@ the state for evaluation bookkeeping only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -52,10 +52,6 @@ def action_effect(variant: str, action: int,
     return dx, dy, heading
 
 
-def is_landmark(tile: int) -> bool:
-    return tile >= FIRST_LANDMARK
-
-
 def landmark_id(tile: int) -> int:
     """1-based landmark id of a landmark tile."""
     return tile - FIRST_LANDMARK + 1
@@ -63,10 +59,9 @@ def landmark_id(tile: int) -> int:
 
 @dataclass
 class GridMap:
-    """Bounded tile grid with per-cell room labels.
+    """Bounded tile grid.
 
     ``tiles`` is indexed ``tiles[x, y]``; boundary cells are walls.
-    ``rooms[x, y]`` is a small room label for free cells and -1 for walls.
     ``tiles`` becomes read-only once a patch has been taken on the map,
     since such patches read a wall-padded copy of it.
     """
@@ -74,7 +69,6 @@ class GridMap:
     width: int
     height: int
     tiles: np.ndarray
-    rooms: np.ndarray
     # patch size -> tiles with a wall border of half that size
     _padded: Dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -119,21 +113,6 @@ class GridMap:
         out.flags.writeable = False
         return out
 
-    def to_text(self) -> str:
-        lines = []
-        for y in range(self.height):
-            row = []
-            for x in range(self.width):
-                t = int(self.tiles[x, y])
-                if t == WALL:
-                    row.append("#")
-                elif t == FREE:
-                    row.append(".")
-                else:
-                    row.append(str(landmark_id(t)))
-            lines.append("".join(row))
-        return "\n".join(lines) + "\n"
-
 
 class MapError(ValueError):
     pass
@@ -159,14 +138,9 @@ def map_from_text(text: str) -> GridMap:
                 tiles[x, y] = FIRST_LANDMARK + int(ch) - 1
             else:
                 raise MapError(f"bad map character {ch!r} at ({x},{y})")
-    grid = GridMap(width, height, tiles, _label_single_room(tiles))
+    grid = GridMap(width, height, tiles)
     _validate(grid)
     return grid
-
-
-def _label_single_room(tiles: np.ndarray) -> np.ndarray:
-    rooms = np.where(tiles != WALL, 0, -1)
-    return rooms.astype(np.int8)
 
 
 def _validate(grid: GridMap) -> None:
@@ -202,7 +176,7 @@ _FR_VX, _FR_HY = 10, 8
 _FR_DOORS = ((_FR_VX, 4), (_FR_VX, 12), (5, _FR_HY), (15, _FR_HY))
 
 
-def make_four_rooms(seed: int, landmarks_per_room: int = 4) -> GridMap:
+def make_four_rooms(seed: int) -> GridMap:
     """Classic four-room layout with exactly 256 free cells.
 
     Landmark tiles are placed deterministically from the seed, at least two
@@ -216,25 +190,13 @@ def make_four_rooms(seed: int, landmarks_per_room: int = 4) -> GridMap:
     for dx, dy in _FR_DOORS:
         tiles[dx, dy] = FREE
 
-    rooms = np.full((_FR_W, _FR_H), -1, dtype=np.int8)
-    for x in range(1, _FR_W - 1):
-        for y in range(1, _FR_H - 1):
-            if tiles[x, y] == WALL:
-                continue
-            rooms[x, y] = (0 if x < _FR_VX else 1) + (0 if y < _FR_HY else 2)
-    # Doorway cells sit on the dividing walls; give each the label of one side.
-    rooms[_FR_VX, 4] = 0
-    rooms[_FR_VX, 12] = 2
-    rooms[5, _FR_HY] = 0
-    rooms[15, _FR_HY] = 1
-
     rng = np.random.default_rng(seed)
     centers = ((5, 4), (15, 4), (5, 12), (15, 12))
-    offsets = ((-2, 0), (2, 0), (0, -2), (0, 2), (-2, -2), (2, 2))
+    offsets = ((-2, 0), (2, 0), (0, -2), (0, 2))
     next_id = 1
     for cx, cy in centers:
         placed = 0
-        for ox, oy in offsets[:max(2, landmarks_per_room)]:
+        for ox, oy in offsets:
             jx = int(rng.integers(-1, 2))
             jy = int(rng.integers(-1, 2))
             x = int(np.clip(cx + ox + jx, 1, _FR_W - 2))
@@ -248,13 +210,14 @@ def make_four_rooms(seed: int, landmarks_per_room: int = 4) -> GridMap:
             placed += 1
         # Landmark placement never touches walls, so free count stays 256.
         assert placed >= 2
-    grid = GridMap(_FR_W, _FR_H, tiles, rooms)
+    grid = GridMap(_FR_W, _FR_H, tiles)
     _validate(grid)
     return grid
 
 
-def make_maze(width: int, height: int, seed: int, landmark_every: int = 4) -> GridMap:
-    """Procedural maze (recursive backtracker) with landmarks sprinkled."""
+def make_maze(width: int, height: int, seed: int) -> GridMap:
+    """Procedural maze (recursive backtracker) with a landmark on every
+    fourth free cell."""
     if width % 2 == 0:
         width += 1
     if height % 2 == 0:
@@ -281,10 +244,10 @@ def make_maze(width: int, height: int, seed: int, landmark_every: int = 4) -> Gr
     free = [(x, y) for x in range(width) for y in range(height) if tiles[x, y] == FREE]
     next_id = 1
     for idx, (x, y) in enumerate(free):
-        if idx % landmark_every == 0:
+        if idx % 4 == 0:
             tiles[x, y] = FIRST_LANDMARK + (next_id - 1)
             next_id = next_id % MAX_LANDMARK_ID + 1
-    grid = GridMap(width, height, tiles, _label_single_room(tiles))
+    grid = GridMap(width, height, tiles)
     _validate(grid)
     return grid
 
@@ -294,14 +257,7 @@ class AgentState:
     x: int
     y: int
     heading: int = 0  # cardinal index, used by the orientation variant
-    step_count: int = 0
     pose_est: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    start: Tuple[int, int] = (0, 0)  # true spawn cell, evaluation bookkeeping
-
-    def true_pose(self) -> np.ndarray:
-        """Exact pose relative to episode start (evaluation only)."""
-        return np.array([self.x - self.start[0], self.y - self.start[1],
-                         float(self.heading)])
 
 
 @dataclass
@@ -336,17 +292,17 @@ class GridEnv:
     def spawn(self, rng: np.random.Generator) -> AgentState:
         cells = self.grid.free_cells()
         x, y = cells[int(rng.integers(len(cells)))]
-        return AgentState(x=x, y=y, start=(x, y))
+        return AgentState(x=x, y=y)
 
     def observe(self, state: AgentState, collided: bool = False) -> Observation:
         return Observation(self.grid.patch(state.x, state.y, self.patch_size),
                            state.pose_est.copy(), collided)
 
     def observation_at(self, x: int, y: int,
-                       pose_est: Optional[np.ndarray] = None) -> Observation:
+                       pose_est: np.ndarray) -> Observation:
         """Observation as captured at an arbitrary cell (evaluation harness)."""
-        pose = np.zeros(3) if pose_est is None else np.asarray(pose_est, float)
-        return Observation(self.grid.patch(x, y, self.patch_size), pose, False)
+        return Observation(self.grid.patch(x, y, self.patch_size),
+                           np.asarray(pose_est, float), False)
 
     def step(self, state: AgentState, action: int,
              rng: np.random.Generator) -> Tuple[AgentState, Observation]:
@@ -365,7 +321,5 @@ class GridEnv:
         else:
             noisy_delta = true_delta
         new_state = AgentState(x=nx, y=ny, heading=heading,
-                               step_count=state.step_count + 1,
-                               pose_est=state.pose_est + noisy_delta,
-                               start=state.start)
+                               pose_est=state.pose_est + noisy_delta)
         return new_state, self.observe(new_state, collided=collided)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -27,6 +26,7 @@ from .nn import ActorCritic, Adam, log_probs, softmax
 
 CKPT_HEADER = "dgmem-ckpt-v1"
 POSE_SCALE = 10.0  # relative poses are divided by this before entering the net
+COVERAGE_EVERY = 500  # training steps between coverage curve points
 
 
 def policy_input(obs_feat: np.ndarray, goal_feat: np.ndarray,
@@ -63,6 +63,32 @@ def compute_advantages(rewards: np.ndarray, values: np.ndarray,
     if normalize:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     return adv, returns
+
+
+class Rollout:
+    """On-policy transitions gathered between two PPO updates."""
+
+    def __init__(self):
+        self._steps: List[tuple] = []
+
+    def add(self, x: np.ndarray, a: int, logp: float, v: float, r: float,
+            done: bool) -> None:
+        self._steps.append((x, a, logp, v, r, done))
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def batch(self, last_value: float, gamma: float,
+              lam: float) -> Tuple[np.ndarray, ...]:
+        """(x, actions, logp, adv, returns) of the gathered steps, with
+        normalized advantages bootstrapped from ``last_value``; empties the
+        buffer."""
+        x, a, logp, v, r, done = zip(*self._steps)
+        self._steps = []
+        adv, returns = compute_advantages(
+            np.array(r), np.array(v), np.array(done), last_value, gamma, lam,
+            normalize=True)
+        return np.stack(x), np.array(a, int), np.array(logp), adv, returns
 
 
 # -- PPO ----------------------------------------------------------------------
@@ -131,7 +157,6 @@ def ppo_update(net: ActorCritic, opt: Adam, x: np.ndarray, actions: np.ndarray,
     if not net.params_finite():
         net.set_params(backup)
         stats["nan_abort"] = True
-    stats["loss"] = stats.get("policy_loss", 0.0)
     return stats
 
 
@@ -267,17 +292,14 @@ class TrainResult:
     steps: int
     coverage_curve: List[Tuple[int, float]] = field(default_factory=list)
     visit_hist: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    episodes: int = 0
-    successes: int = 0
     best_success_rate: float = 0.0
-    best_efficiency: float = 0.0
     update_stats: List[dict] = field(default_factory=list)
 
 
 def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                   cfg: dict, net: Optional[ActorCritic] = None,
                   state: Optional[AgentState] = None,
-                  log_writer=None, coverage_every: int = 500) -> TrainResult:
+                  log_writer=None) -> TrainResult:
     """Run the self-supervised training loop for cfg['learner.total_steps'].
 
     Deterministic given (cfg, seed): two runs with the same inputs produce
@@ -314,14 +336,13 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     sem = semantic_score(obs.patch)
     if len(graph) == 0:
         graph.try_add_node(feat, obs.pose_est, sem, 0)
-    elif len(graph) > 0:
+    else:
         graph.localize(feat, obs.pose_est)
 
     result = TrainResult(net=net, best_params=net.copy_params(), graph=graph,
                          steps=0)
     visit = result.visit_hist
     visit[(state.x, state.y)] = visit.get((state.x, state.y), 0) + 1
-    visited_cells = {(state.x, state.y)}
     n_free = len(env.grid.free_cells())
 
     goal_id: Optional[int] = None
@@ -332,15 +353,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     dist_map: Dict[int, int] = {}
     dist_version = -1
     recent = deque(maxlen=50)
-    recent_eff: deque = deque(maxlen=50)
-    goal_l0: Optional[int] = None
-
-    buf_x: List[np.ndarray] = []
-    buf_a: List[int] = []
-    buf_logp: List[float] = []
-    buf_v: List[float] = []
-    buf_r: List[float] = []
-    buf_done: List[bool] = []
+    rollout = Rollout()
 
     for step in range(1, total + 1):
         if len(graph) == 0:
@@ -351,8 +364,8 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             sem = semantic_score(obs.patch)
             graph.try_add_node(feat, obs.pose_est, sem, step)
             graph.record_transition(action, feat, obs.pose_est)
-            _track(visit, visited_cells, state)
-            _maybe_curve(result, step, coverage_every, visited_cells, n_free)
+            _track(visit, state)
+            _maybe_curve(result, step, n_free)
             continue
 
         if goal_id is None or goal_id not in graph.nodes:
@@ -363,9 +376,6 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             visited_nodes = set()
             if graph.current is not None:
                 visited_nodes.add(graph.current)
-                goal_l0 = graph.topo_distance(graph.current, goal_id)
-            else:
-                goal_l0 = None
             ep_steps = 0
             dist_version = -1
 
@@ -384,8 +394,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
         if dist_version != graph.topology_version:
             dist_map = graph.distances_from(goal_id)
             dist_version = graph.topology_version
-        r_d = rw.topo_progress_reward(graph, prev_node, cur_node, goal_id,
-                                      alpha, dist_map)
+        r_d = rw.topo_progress_reward(prev_node, cur_node, alpha, dist_map)
         r_n = rw.novelty_reward(cur_node, visited_nodes, novelty_c)
         r_s, done = rw.success_reward(obs.pose_est, goal_pose, radius,
                                       success_mag)
@@ -394,12 +403,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
         timeout = ep_steps >= horizon
         terminal = done or timeout
 
-        buf_x.append(x)
-        buf_a.append(action)
-        buf_logp.append(logp)
-        buf_v.append(value)
-        buf_r.append(breakdown.total)
-        buf_done.append(terminal)
+        rollout.add(x, action, logp, value, breakdown.total, terminal)
 
         if log_writer is not None:
             log_writer({"step": step, "goal": goal_id, **breakdown.as_dict(),
@@ -408,49 +412,33 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
 
         if terminal:
             recent.append(1 if done else 0)
-            # train-time efficiency: initial hop distance over steps taken,
-            # zero on failure (an SPL analogue using graph knowledge only);
-            # tracked for diagnostics alongside the success rate
-            if done and goal_l0 is not None:
-                recent_eff.append(min(1.0, max(goal_l0, 1) / ep_steps))
-            else:
-                recent_eff.append(0.0)
-            result.episodes += 1
-            result.successes += int(done)
             goal_id = None
             if len(recent) == recent.maxlen:
                 sr = sum(recent) / len(recent)
-                result.best_efficiency = max(
-                    result.best_efficiency,
-                    sum(recent_eff) / len(recent_eff))
                 if sr >= result.best_success_rate:
                     result.best_success_rate = sr
                     result.best_params = net.copy_params()
             if episodic:
-                state = AgentState(x=spawn_cell[0], y=spawn_cell[1],
-                                   start=spawn_cell)
+                state = AgentState(x=spawn_cell[0], y=spawn_cell[1])
                 obs = env.observe(state)
                 feat = enc.encode(obs.patch)
-                sem = semantic_score(obs.patch)
                 graph.localize(feat, obs.pose_est)
                 graph.break_trajectory()
 
-        if len(buf_x) >= nsteps:
+        if len(rollout) >= nsteps:
             if terminal or goal_id is None:
                 last_value = 0.0
             else:
                 nx = policy_input(feat, goal_feat, goal_pose - obs.pose_est)
                 _, last_values, _ = net.forward(nx)
                 last_value = float(last_values[0])
-            adv, returns = compute_advantages(
-                np.array(buf_r), np.array(buf_v), np.array(buf_done),
+            bx, ba, blogp, adv, returns = rollout.batch(
                 last_value, float(cfg["learner.discount"]),
-                float(cfg["learner.gae_lambda"]), normalize=True)
+                float(cfg["learner.gae_lambda"]))
             lr = lr_schedule(step, total, float(cfg["learner.lr_start"]),
                              float(cfg["learner.lr_end"]))
             stats = ppo_update(
-                net, opt, np.stack(buf_x), np.array(buf_a, int),
-                np.array(buf_logp), adv, returns, lr,
+                net, opt, bx, ba, blogp, adv, returns, lr,
                 clip=float(cfg["learner.clip"]),
                 epochs=int(cfg["learner.epochs"]),
                 minibatches=int(cfg["learner.minibatches"]),
@@ -465,15 +453,13 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             stats["il"] = il_stats
             stats["step"] = step
             result.update_stats.append(stats)
-            buf_x.clear(); buf_a.clear(); buf_logp.clear()
-            buf_v.clear(); buf_r.clear(); buf_done.clear()
 
         if step % int(cfg["graph.prune_every"]) == 0:
             graph.prune_edges(int(cfg["graph.prune_min_count"]))
             dist_version = -1
 
-        _track(visit, visited_cells, state)
-        _maybe_curve(result, step, coverage_every, visited_cells, n_free)
+        _track(visit, state)
+        _maybe_curve(result, step, n_free)
 
     result.steps = total
     if result.best_success_rate == 0.0:
@@ -481,13 +467,11 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     return result
 
 
-def _track(visit: dict, visited_cells: set, state: AgentState) -> None:
+def _track(visit: dict, state: AgentState) -> None:
     cell = (state.x, state.y)
     visit[cell] = visit.get(cell, 0) + 1
-    visited_cells.add(cell)
 
 
-def _maybe_curve(result: TrainResult, step: int, every: int,
-                 visited_cells: set, n_free: int) -> None:
-    if step % every == 0 or step == 1:
-        result.coverage_curve.append((step, len(visited_cells) / n_free))
+def _maybe_curve(result: TrainResult, step: int, n_free: int) -> None:
+    if step % COVERAGE_EVERY == 0 or step == 1:
+        result.coverage_curve.append((step, len(result.visit_hist) / n_free))

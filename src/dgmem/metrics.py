@@ -93,13 +93,6 @@ def grid_distances(grid: GridMap, source: Tuple[int, int]) -> np.ndarray:
     return np.array(dist, np.min_scalar_type(-grid.tiles.size))
 
 
-def distance_to_goal(grid: GridMap, final_cell: Tuple[int, int],
-                     goal_cell: Tuple[int, int]) -> Optional[float]:
-    """Geodesic distance in cells; None flags an unreachable pairing."""
-    d = grid_shortest_length(grid, final_cell, goal_cell)
-    return float(d) if d is not None else None
-
-
 def spl_term(success: bool, path: float, shortest: float) -> float:
     """One episode's success * shortest / max(path, shortest).
 
@@ -133,7 +126,6 @@ class EvalReport:
     spl: float
     mean_dts: float
     episodes: List[dict] = field(default_factory=list)
-    coverage_curve: List[Tuple[int, float]] = field(default_factory=list)
 
     @property
     def reasons(self) -> Dict[str, int]:

@@ -65,19 +65,15 @@ class NavPlan:
     goal_node: int
     route: List[int]
     cursor: int = 0
-    subgoal_budget: int = 30
     replans: int = 0
 
 
 @dataclass
 class EpisodeResult:
-    success: bool
     steps: int
-    path_length: int
-    final_distance: float
-    reason: str = ""
-    replans: int = 0
-    final_state: Optional[AgentState] = field(default=None, repr=False)
+    reason: str
+    replans: int
+    final_state: AgentState = field(repr=False)
 
 
 def localize_goal(graph: GraphMemory, goal_feat: np.ndarray,
@@ -244,16 +240,13 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     goal_feat = enc.encode(goal_obs.patch)
     goal_pose = np.asarray(goal_obs.pose_est, float)
 
-    def _dist_to_goal(pose) -> float:
-        return float(np.linalg.norm(np.asarray(pose)[:2] - goal_pose[:2]))
-
     def _at_goal(feat, pose) -> bool:
         """Arrival requires visual confirmation: the current observation must
         match the goal observation, with the pose estimate merely gating out
         far-away visually aliased cells. A pose-only test would declare
         success one cell off whenever odometry drift exceeds half a cell."""
-        return (float(goal_feat @ feat) >= 0.999
-                and _dist_to_goal(pose) < success_radius + 1.5)
+        return (float(goal_feat @ feat) >= 0.999 and float(np.linalg.norm(
+            np.asarray(pose)[:2] - goal_pose[:2])) < success_radius + 1.5)
 
     def _look(view_key: bytes, feat, pose) -> Tuple[tuple, _Query]:
         """The graph query for the current view and pose, and its key."""
@@ -273,11 +266,9 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
 
     feat = enc.encode(start_obs.patch)
     if _at_goal(feat, start_obs.pose_est):
-        return EpisodeResult(True, 0, 0, _dist_to_goal(start_obs.pose_est),
-                             "already_at_goal", final_state=state)
+        return EpisodeResult(0, "already_at_goal", 0, state)
     if not graph.nodes:
-        return EpisodeResult(False, 0, 0, _dist_to_goal(start_obs.pose_est),
-                             "empty_graph", final_state=state)
+        return EpisodeResult(0, "empty_graph", 0, state)
     obs = start_obs
     view_key = obs.patch.tobytes()
     # drift-corrected pose estimate: odometry plus the cumulative offset
@@ -288,9 +279,8 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     goal_node = localize_goal(graph, goal_feat, goal_pose)
     route = _route(q.nearest, goal_node)
     if not route:
-        return EpisodeResult(False, 0, 0, _dist_to_goal(pose),
-                             "unreachable", final_state=state)
-    plan = NavPlan(goal_node, route, subgoal_budget=subgoal_budget)
+        return EpisodeResult(0, "unreachable", 0, state)
+    plan = NavPlan(goal_node, route)
     # consume any route waypoints already satisfied at the start, so the
     # executor never walks back to touch a node behind it
     _advance_cursor(graph, plan, q, subgoal_radius)
@@ -348,29 +338,22 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             steps_since_fix += 1
 
         if _at_goal(feat, pose):
-            return EpisodeResult(True, steps, steps,
-                                 _dist_to_goal(pose), "arrived",
-                                 plan.replans, final_state=state)
+            return EpisodeResult(steps, "arrived", plan.replans, state)
 
         advanced = _advance_cursor(graph, plan, q, subgoal_radius)
         if advanced:
             budget_left = subgoal_budget
         elif budget_left <= 0:
             if plan.replans >= max_replans:
-                return EpisodeResult(False, steps, steps,
-                                     _dist_to_goal(pose),
-                                     "replan_exhausted", plan.replans,
-                                     final_state=state)
+                return EpisodeResult(steps, "replan_exhausted",
+                                     plan.replans, state)
             route = _route(q.nearest, plan.goal_node)
             if not route:
-                return EpisodeResult(False, steps, steps,
-                                     _dist_to_goal(pose),
-                                     "unreachable", plan.replans,
-                                     final_state=state)
+                return EpisodeResult(steps, "unreachable", plan.replans,
+                                     state)
             plan.route = route
             plan.cursor = 0
             plan.replans += 1
             budget_left = subgoal_budget
 
-    return EpisodeResult(False, steps, steps, _dist_to_goal(pose),
-                         "max_steps", plan.replans, final_state=state)
+    return EpisodeResult(steps, "max_steps", plan.replans, state)

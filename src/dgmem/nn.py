@@ -1,18 +1,20 @@
-"""Minimal feedforward actor-critic with hand-written gradients.
+"""Minimal feedforward networks with hand-written gradients.
 
-The network is a two-layer tanh trunk (512, 256 units) over the concatenated
-(observation feature, goal feature, relative pose) input, with a softmax
-actor head and a scalar critic head. Gradients are computed analytically and
-checked against finite differences in the test suite; optimization is a
-from-scratch Adam.
+One layer loop serves both networks: ``tanh_forward`` runs a stack of dense
+tanh layers, ``dense_backward`` walks it back, passing ``(d @ W.T) * (1 -
+a*a)`` down each tanh, and ``init_dense`` initialises every layer.
+``ActorCritic`` is the goal-conditioned policy: a two-layer tanh trunk (512,
+256 units) over the (observation feature, goal feature, relative pose)
+input, with separate softmax actor and scalar critic heads. ``MLP`` is a
+tanh stack with a linear output, used by the intrinsic-reward baselines.
+Gradients are checked against finite differences in the test suite;
+optimization is a from-scratch Adam.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-LOG_EPS = 1e-12
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -26,8 +28,44 @@ def log_probs(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def init_dense(rng: np.random.Generator, params: Dict[str, np.ndarray],
+               name: str, fan_in: int, fan_out: int) -> None:
+    """Add layer ``name``: uniform weights in +-1/sqrt(fan_in), zero bias."""
+    bound = 1.0 / np.sqrt(fan_in)
+    params[f"{name}.w"] = rng.uniform(-bound, bound, (fan_in, fan_out))
+    params[f"{name}.b"] = np.zeros(fan_out)
+
+
+def tanh_forward(params: Dict[str, np.ndarray], names: Sequence[str],
+                 x: np.ndarray) -> List[np.ndarray]:
+    """Activations ``[x, h1, ...]`` of the tanh layers ``names``, in order."""
+    acts = [x]
+    for name in names:
+        acts.append(np.tanh(acts[-1] @ params[f"{name}.w"]
+                            + params[f"{name}.b"]))
+    return acts
+
+
+def dense_backward(params: Dict[str, np.ndarray], names: Sequence[str],
+                   acts: Sequence[np.ndarray], d: np.ndarray,
+                   grads: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Add the gradients of layers ``names`` to ``grads`` and return it.
+
+    ``acts[i]`` is the input of layer ``names[i]``, a tanh output for i > 0;
+    ``d`` is the loss gradient at the last layer's pre-activation.
+    """
+    for i in reversed(range(len(names))):
+        grads[f"{names[i]}.w"] = acts[i].T @ d
+        grads[f"{names[i]}.b"] = d.sum(axis=0)
+        if i > 0:
+            d = (d @ params[f"{names[i]}.w"].T) * (1.0 - acts[i] * acts[i])
+    return grads
+
+
 class ActorCritic:
     """Goal-conditioned policy and value network."""
+
+    TRUNK = ("fc1", "fc2")
 
     def __init__(self, input_dim: int, n_actions: int,
                  hidden: Tuple[int, int] = (512, 256), seed: int = 0):
@@ -38,7 +76,7 @@ class ActorCritic:
         self.params: Dict[str, np.ndarray] = {}
         for name, fan_in, fan_out in self.layers(self.input_dim,
                                                  self.n_actions, self.hidden):
-            self._init_layer(rng, name, fan_in, fan_out)
+            init_dense(rng, self.params, name, fan_in, fan_out)
 
     @staticmethod
     def layers(input_dim: int, n_actions: int,
@@ -49,27 +87,23 @@ class ActorCritic:
         return [("fc1", input_dim, h1), ("fc2", h1, h2),
                 ("actor", h2, n_actions), ("critic", h2, 1)]
 
-    def _init_layer(self, rng, name: str, fan_in: int, fan_out: int) -> None:
-        bound = 1.0 / np.sqrt(fan_in)
-        self.params[f"{name}.w"] = rng.uniform(-bound, bound, (fan_in, fan_out))
-        self.params[f"{name}.b"] = np.zeros(fan_out)
-
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
         """(logits, values, cache) for a batch of inputs, shape (n, input_dim)."""
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
         p = self.params
-        h1 = np.tanh(x @ p["fc1.w"] + p["fc1.b"])
-        h2 = np.tanh(h1 @ p["fc2.w"] + p["fc2.b"])
+        acts = tanh_forward(p, self.TRUNK, x)
+        h2 = acts[-1]
         logits = h2 @ p["actor.w"] + p["actor.b"]
         values = (h2 @ p["critic.w"] + p["critic.b"])[:, 0]
-        return logits, values, {"x": x, "h1": h1, "h2": h2}
+        return logits, values, {"x": x, "acts": acts}
 
     def backward(self, cache: dict, dlogits: np.ndarray,
                  dvalues: np.ndarray) -> Dict[str, np.ndarray]:
         """Parameter gradients given loss gradients at the two heads."""
-        x, h1, h2 = cache["x"], cache["h1"], cache["h2"]
+        acts = cache["acts"]
+        h2 = acts[-1]
         p = self.params
         dvalues = np.asarray(dvalues, float).reshape(-1, 1)
         grads = {
@@ -79,41 +113,16 @@ class ActorCritic:
             "critic.b": dvalues.sum(axis=0),
         }
         dh2 = dlogits @ p["actor.w"].T + dvalues @ p["critic.w"].T
-        dz2 = dh2 * (1.0 - h2 * h2)
-        grads["fc2.w"] = h1.T @ dz2
-        grads["fc2.b"] = dz2.sum(axis=0)
-        dh1 = dz2 @ p["fc2.w"].T
-        dz1 = dh1 * (1.0 - h1 * h1)
-        grads["fc1.w"] = x.T @ dz1
-        grads["fc1.b"] = dz1.sum(axis=0)
-        return grads
+        return dense_backward(p, self.TRUNK, acts, dh2 * (1.0 - h2 * h2),
+                              grads)
 
-    def policy(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(probs, logp, values) without gradient bookkeeping."""
-        logits, values, _ = self.forward(x)
-        return softmax(logits), log_probs(logits), values
-
-    def act(self, x: np.ndarray, rng: np.random.Generator,
-            greedy: bool = False,
-            temperature: float = 1.0) -> Tuple[int, float, float]:
-        """Sample (or argmax) a single action; returns (action, logp, value).
-
-        ``temperature`` rescales the logits before sampling: values below 1
-        concentrate mass on the preferred action while keeping enough
-        randomness to escape action loops. The returned log-probability is
-        always under the unscaled policy.
-        """
+    def act(self, x: np.ndarray,
+            rng: np.random.Generator) -> Tuple[int, float, float]:
+        """Sample a single action; returns (action, logp, value)."""
         logits, values, _ = self.forward(x)
         probs = softmax(logits)
         logp = log_probs(logits)
-        if greedy:
-            a = int(np.argmax(probs[0]))
-        else:
-            if temperature != 1.0:
-                if temperature <= 0:
-                    raise ValueError("temperature must be positive")
-                probs = softmax(logits / temperature)
-            a = int(rng.choice(self.n_actions, p=probs[0]))
+        a = int(rng.choice(self.n_actions, p=probs[0]))
         return a, float(logp[0, a]), float(values[0])
 
     # -- parameter plumbing ---------------------------------------------------
@@ -156,32 +165,20 @@ class MLP:
     def __init__(self, input_dim: int, hidden: Tuple[int, ...],
                  output_dim: int, seed: int = 0):
         self.dims = (int(input_dim),) + tuple(int(h) for h in hidden) + (int(output_dim),)
+        self.names = tuple(f"l{i}" for i in range(len(self.dims) - 1))
         rng = np.random.default_rng(seed)
         self.params: Dict[str, np.ndarray] = {}
-        for i in range(len(self.dims) - 1):
-            bound = 1.0 / np.sqrt(self.dims[i])
-            self.params[f"l{i}.w"] = rng.uniform(-bound, bound,
-                                                 (self.dims[i], self.dims[i + 1]))
-            self.params[f"l{i}.b"] = np.zeros(self.dims[i + 1])
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.dims) - 1
+        for name, fan_in, fan_out in zip(self.names, self.dims, self.dims[1:]):
+            init_dense(rng, self.params, name, fan_in, fan_out)
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, list]:
-        x = np.atleast_2d(np.asarray(x, float))
-        acts = [x]
-        for i in range(self.n_layers):
-            z = acts[-1] @ self.params[f"l{i}.w"] + self.params[f"l{i}.b"]
-            acts.append(np.tanh(z) if i < self.n_layers - 1 else z)
-        return acts[-1], acts
+        acts = tanh_forward(self.params, self.names[:-1],
+                            np.atleast_2d(np.asarray(x, float)))
+        last = self.names[-1]
+        out = acts[-1] @ self.params[f"{last}.w"] + self.params[f"{last}.b"]
+        acts.append(out)
+        return out, acts
 
     def backward(self, acts: list, dout: np.ndarray) -> Dict[str, np.ndarray]:
-        grads = {}
-        d = np.asarray(dout, float)
-        for i in reversed(range(self.n_layers)):
-            grads[f"l{i}.w"] = acts[i].T @ d
-            grads[f"l{i}.b"] = d.sum(axis=0)
-            if i > 0:
-                d = (d @ self.params[f"l{i}.w"].T) * (1.0 - acts[i] * acts[i])
-        return grads
+        return dense_backward(self.params, self.names, acts,
+                              np.asarray(dout, float), {})

@@ -7,7 +7,7 @@ the success radius. The total is always the exact sum of the three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
@@ -27,19 +27,15 @@ class RewardBreakdown:
                 "total": self.total}
 
 
-def topo_progress_reward(graph, prev_node: int, cur_node: int, goal_node: int,
-                         alpha: float,
-                         dist_map: Optional[Dict[int, int]] = None) -> float:
+def topo_progress_reward(prev_node: int, cur_node: int, alpha: float,
+                         dist_map: Dict[int, int]) -> float:
     """alpha * (hops(prev, goal) - hops(cur, goal)); 0 when either is unreachable.
 
-    ``dist_map`` may carry precomputed BFS hop counts from the goal node.
+    ``dist_map`` holds the BFS hop counts from the goal node
+    (``GraphMemory.distances_from``); a node missing from it is unreachable.
     """
-    if dist_map is not None:
-        d_prev = dist_map.get(prev_node)
-        d_cur = dist_map.get(cur_node)
-    else:
-        d_prev = graph.topo_distance(prev_node, goal_node)
-        d_cur = graph.topo_distance(cur_node, goal_node)
+    d_prev = dist_map.get(prev_node)
+    d_cur = dist_map.get(cur_node)
     if d_prev is None or d_cur is None:
         return 0.0
     return alpha * (d_prev - d_cur)

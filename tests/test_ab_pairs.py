@@ -1,6 +1,8 @@
 import importlib.util
+import json
 import os
 
+import numpy as np
 import pytest
 
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "ab_pairs.py")
@@ -54,3 +56,46 @@ def test_parse_seeds():
     assert ab_pairs.parse_seeds("3") == [3]
     assert ab_pairs.parse_seeds("0-3") == [0, 1, 2, 3]
     assert ab_pairs.parse_seeds("1,4-5,9") == [1, 4, 5, 9]
+
+
+def fake_run(checkout, workload, seed, seconds, trace):
+    """A benchmark run's result line and detail file, without running it."""
+    speed = 100.0 + seed + (10.0 if checkout.endswith("change") else 0.0)
+    result = {"correct": True,
+              "metrics": {"steps_per_s": {"value": speed},
+                          "cpu_s": {"value": 1.0}}}
+    detail = {"round_outputs": {"sha": "a" if seed != 2 else checkout},
+              "outputs": {"blas_threads": 1}}
+    return result, detail
+
+
+def test_out_file_records_settings_rows_and_summary(tmp_path, monkeypatch):
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "steps_per_s", "better": "higher"},
+                            {"name": "cpu_s", "better": "lower"}]}))
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    argv = [str(dirs["parent"]), str(dirs["change"]), "--workload", "train",
+            "--seeds", "0-3", "--seconds", "0", "--out", str(out)]
+    assert ab_pairs.main(argv) == 0
+    assert ab_pairs.main(argv[:4] + ["--seeds", "7"] + argv[6:]) == 0
+    first, second = json.loads(out.read_text())["runs"]
+    assert first["workload"] == "train" and first["seeds"] == [0, 1, 2, 3]
+    assert first["seconds"] == 0.0 and first["blas_threads"] == [1]
+    assert first["numpy"] == np.__version__
+    # the temporary checkouts are not git repositories
+    assert first["parent_commit"] is None and first["change_commit"] is None
+    rows = first["rows"]
+    assert [r["seed"] for r in rows] == [0, 1, 2, 3]
+    assert [r["first"] for r in rows] == ["parent", "change"] * 2
+    assert [r["outputs_equal"] for r in rows] == [True, True, False, True]
+    assert rows[1]["change"]["steps_per_s"] == 111.0
+    summary = first["summary"]
+    assert summary["pairs"] == 4 and summary["outputs_equal"] == 3
+    assert summary["correct"] == 4
+    assert summary["metrics"]["steps_per_s"]["wins"] == 4
+    assert second["seeds"] == [7] and len(second["rows"]) == 1

@@ -73,7 +73,7 @@ class TestExploreLoops:
 
     def test_intrinsic_agent_starts_at_given_spawn(self, four_rooms):
         env = GridEnv(four_rooms)
-        spawn = AgentState(x=3, y=3, start=(3, 3))
+        spawn = AgentState(x=3, y=3)
         tracker = baselines.explore_intrinsic(env, PatchEncoder(), "dp", 1,
                                               seed=0, spawn=spawn)
         assert tracker.hist.get((3, 3), 0) >= 1

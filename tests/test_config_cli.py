@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dgmem import cli, config as cfgmod
+from dgmem import cli, config as cfgmod, learner
 from dgmem.graph import GraphMemory
 from dgmem.gridworld import GridEnv
 
@@ -162,6 +162,61 @@ class TestCliCommands:
         assert code == 0
         assert (out / "graph.dgm").read_text() != first
 
+    def test_resume_without_artifacts_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "train_log.jsonl").write_text("old\n")
+        code = cli.main(self.train_args(out, steps=300) + ["--resume"])
+        assert code == 2
+        assert "artifact error:" in capsys.readouterr().err
+        assert (out / "train_log.jsonl").read_text() == "old\n"
+        assert not (out / "graph.dgm").exists()
+
+    def test_resume_with_corrupt_checkpoint_fails_cleanly(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "run"
+        assert cli.main(self.train_args(out, steps=300)) == 0
+        (out / "checkpoint_final.ckpt").write_bytes(b"dgmem-ckpt-v1\n{]")
+        code = cli.main(self.train_args(out, steps=300) + ["--resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "artifact error:" in err and "checkpoint_final.ckpt" in err
+
+    def test_eval_non_utf8_graph_fails_cleanly(self, tmp_path, capsys):
+        ckpt = tmp_path / "net.ckpt"
+        learner.save_checkpoint(str(ckpt), learner.ActorCritic(259, 4))
+        graph = tmp_path / "graph.dgm"
+        graph.write_bytes(b"dgmem-graph-v1\n\xff\xfe\x00")
+        code = cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--graph", str(graph)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "artifact error:" in err and "graph.dgm" in err
+
+    def test_train_log_has_one_update_record_per_ppo_update(
+            self, tmp_path, monkeypatch):
+        calls = []
+        ppo_update = learner.ppo_update
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ppo_update(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "ppo_update", counting)
+        out = tmp_path / "run"
+        assert cli.main(self.train_args(out, steps=800)) == 0
+        records = [json.loads(line) for line in
+                   (out / "train_log.jsonl").read_text().splitlines()]
+        updates = [r for r in records if r.get("kind") == "update"]
+        assert len(calls) >= 2 and len(updates) == len(calls)
+        keys = {"kind", "step", "policy_loss", "value_loss", "entropy",
+                "approx_kl", "clip_frac", "il"}
+        for rec in updates:
+            assert keys <= set(rec) <= keys | {"nan_abort"}
+            assert set(rec["il"]) == {"ce", "kl", "n"}
+        steps = [r["step"] for r in updates]
+        assert steps == sorted(steps) and steps[-1] <= 800
+
     def test_train_bad_config_fails_cleanly(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("unknown.key: 1\n")
@@ -218,17 +273,19 @@ class TestCliCommands:
 
     def test_explore_agents_share_the_spawn(self, monkeypatch):
         starts = []
+        cells = []
         step = GridEnv.step
 
         def spy(self, state, action, rng):
-            if state.step_count == 0:
-                starts.append((state.x, state.y))
+            cells.append((state.x, state.y))
             return step(self, state, action, rng)
 
         monkeypatch.setattr(GridEnv, "step", spy)
         for agent in ("random", "straight", "rnd", "dp"):
+            cells.clear()
             assert cli.main(["explore", "--agent", agent, "--steps", "5",
                              "--seed", "3"]) == 0
+            starts.append(cells[0])
         assert len(starts) == 4 and len(set(starts)) == 1
 
     def test_orientation_variant_trains_and_evaluates(self, tmp_path):

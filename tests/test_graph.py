@@ -116,7 +116,7 @@ class TestLocalization:
         # replay a random walk; localization must match a brute-force scan
         # applying the same rule over all nodes
         g = make_graph()
-        state = AgentState(x=5, y=4, start=(5, 4))
+        state = AgentState(x=5, y=4)
         obs = env.observe(state)
         oracle_current = None
         for _ in range(400):
@@ -284,12 +284,11 @@ class TestPlanning:
     def test_unreachable_gives_empty_path(self):
         g = seeded_graph(2)
         assert g.shortest_path(0, 1) == []
-        assert g.topo_distance(0, 1) is None
 
     def test_self_distance_zero(self):
         g = seeded_graph(1)
         assert g.shortest_path(0, 0) == [0]
-        assert g.topo_distance(0, 0) == 0
+        assert g.distances_from(0) == {0: 0}
 
     def test_unknown_node_rejected(self):
         g = seeded_graph(2)
@@ -300,7 +299,8 @@ class TestPlanning:
         g = TestPruning().line_graph(5)
         dist = g.distances_from(0)
         for nid in g.nodes:
-            assert dist.get(nid) == g.topo_distance(0, nid)
+            path = g.shortest_path(0, nid)
+            assert dist.get(nid) == (len(path) - 1 if path else None)
 
 
 def graph_with_edges(n, lengths):
@@ -461,7 +461,7 @@ class TestSparsityInvariant:
         """After a long random walk every node pair stays separated by the
         admission margin: d_pose + alpha_sim * (-cos) >= d_p."""
         g = make_graph()
-        state = AgentState(x=5, y=4, start=(5, 4))
+        state = AgentState(x=5, y=4)
         obs = env.observe(state)
         for _ in range(3000):
             feat = encoder.encode(obs.patch)

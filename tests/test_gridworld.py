@@ -6,6 +6,22 @@ import pytest
 from dgmem import gridworld as gw
 
 
+def room(x, y):
+    """FourRooms room of a free cell: 0-3 by quadrant, each doorway cell
+    counted with one of the rooms it joins."""
+    if x == 10:
+        return 0 if y < 8 else 2
+    if y == 8:
+        return 0 if x < 10 else 1
+    return (0 if x < 10 else 1) + (0 if y < 8 else 2)
+
+
+def true_pose(state, start):
+    """Exact pose of ``state`` relative to the cell ``start``."""
+    return np.array([state.x - start[0], state.y - start[1],
+                     float(state.heading)])
+
+
 class TestFourRooms:
     def test_free_cell_count_is_256(self, four_rooms):
         assert len(four_rooms.free_cells()) == 256
@@ -16,8 +32,7 @@ class TestFourRooms:
         assert interior - (19 + 15 - 1) + 4 == 256
 
     def test_four_room_labels(self, four_rooms):
-        labels = {int(four_rooms.rooms[x, y])
-                  for x, y in four_rooms.free_cells()}
+        labels = {room(x, y) for x, y in four_rooms.free_cells()}
         assert labels == {0, 1, 2, 3}
 
     def test_boundary_is_wall(self, four_rooms):
@@ -37,8 +52,8 @@ class TestFourRooms:
     def test_each_room_has_landmarks(self, four_rooms):
         per_room = {r: 0 for r in range(4)}
         for x, y in four_rooms.free_cells():
-            if gw.is_landmark(int(four_rooms.tiles[x, y])):
-                per_room[int(four_rooms.rooms[x, y])] += 1
+            if four_rooms.tiles[x, y] >= gw.FIRST_LANDMARK:
+                per_room[room(x, y)] += 1
         assert all(v >= 2 for v in per_room.values())
 
 
@@ -47,12 +62,17 @@ class TestMaze:
         grid = gw.make_maze(21, 17, seed=1)
         free = grid.free_cells()
         assert len(gw.flood_fill(grid, free[0])) == len(free)
-        assert any(gw.is_landmark(int(grid.tiles[x, y])) for x, y in free)
+        assert any(grid.tiles[x, y] >= gw.FIRST_LANDMARK for x, y in free)
 
 
 class TestTextMaps:
     def test_round_trip(self, four_rooms):
-        again = gw.map_from_text(four_rooms.to_text())
+        chars = {gw.WALL: "#", gw.FREE: "."}
+        text = "".join(
+            "".join(chars.get(int(t), str(t - gw.FIRST_LANDMARK + 1))
+                    for t in four_rooms.tiles[:, y]) + "\n"
+            for y in range(four_rooms.height))
+        again = gw.map_from_text(text)
         assert np.array_equal(again.tiles, four_rooms.tiles)
 
     def test_ragged_rows_rejected(self):
@@ -171,7 +191,7 @@ class TestPatchViews:
 
 class TestCardinalStep:
     def test_moves_match_deltas(self, env, rng):
-        state = gw.AgentState(x=3, y=3, start=(3, 3))
+        state = gw.AgentState(x=3, y=3)
         for action, (dx, dy) in ((gw.UP, (0, -1)), (gw.DOWN, (0, 1)),
                                  (gw.LEFT, (-1, 0)), (gw.RIGHT, (1, 0))):
             nxt, obs = env.step(state, action, rng)
@@ -179,7 +199,7 @@ class TestCardinalStep:
             assert not obs.collided
 
     def test_collision_keeps_position_and_flags(self, env, rng):
-        state = gw.AgentState(x=1, y=1, start=(1, 1))
+        state = gw.AgentState(x=1, y=1)
         nxt, obs = env.step(state, gw.LEFT, rng)
         assert (nxt.x, nxt.y) == (1, 1)
         assert obs.collided
@@ -189,19 +209,19 @@ class TestCardinalStep:
             env.step(gw.AgentState(x=3, y=3), 7, rng)
 
     def test_noiseless_pose_estimate_is_exact(self, env, rng):
-        state = gw.AgentState(x=3, y=3, start=(3, 3))
+        state = gw.AgentState(x=3, y=3)
         for _ in range(50):
             a = int(rng.integers(env.n_actions))
             state, obs = env.step(state, a, rng)
-        assert np.allclose(obs.pose_est, state.true_pose())
+        assert np.allclose(obs.pose_est, true_pose(state, (3, 3)))
 
     def test_noisy_pose_estimate_drifts(self, four_rooms):
         env = gw.GridEnv(four_rooms, noise_scale=0.3)
         rng = np.random.default_rng(1)
-        state = gw.AgentState(x=3, y=3, start=(3, 3))
+        state = gw.AgentState(x=3, y=3)
         for _ in range(50):
             state, obs = env.step(state, int(rng.integers(4)), rng)
-        assert not np.allclose(obs.pose_est, state.true_pose())
+        assert not np.allclose(obs.pose_est, true_pose(state, (3, 3)))
 
     def test_noise_is_zero_mean(self, four_rooms):
         # averaged over many steps the estimate tracks the truth
@@ -209,10 +229,10 @@ class TestCardinalStep:
         rng = np.random.default_rng(2)
         errs = []
         for rep in range(20):
-            state = gw.AgentState(x=5, y=4, start=(5, 4))
+            state = gw.AgentState(x=5, y=4)
             for _ in range(100):
                 state, obs = env.step(state, int(rng.integers(4)), rng)
-            errs.append(obs.pose_est[:2] - state.true_pose()[:2])
+            errs.append(obs.pose_est[:2] - true_pose(state, (5, 4))[:2])
         assert np.abs(np.mean(errs, axis=0)).max() < 0.5
 
 
@@ -230,7 +250,7 @@ def replace_step(env, state, action, rng):
     else:
         noisy_delta = true_delta
     new_state = dataclasses.replace(
-        state, x=nx, y=ny, heading=heading, step_count=state.step_count + 1,
+        state, x=nx, y=ny, heading=heading,
         pose_est=state.pose_est + noisy_delta)
     return new_state, env.observe(new_state, collided=bool(collided))
 
@@ -252,10 +272,8 @@ class TestStepReference:
                 a = int(actions.integers(env.n_actions))
                 state, obs = env.step(state, a, rng)
                 ref, ref_obs = replace_step(env, ref, a, ref_rng)
-                assert ((state.x, state.y, state.heading, state.step_count,
-                         state.start)
-                        == (ref.x, ref.y, ref.heading, ref.step_count,
-                            ref.start))
+                assert ((state.x, state.y, state.heading)
+                        == (ref.x, ref.y, ref.heading))
                 assert np.array_equal(state.pose_est, ref.pose_est)
                 assert np.array_equal(obs.patch, ref_obs.patch)
                 assert np.array_equal(obs.pose_est, ref_obs.pose_est)
@@ -267,7 +285,7 @@ class TestStepReference:
 class TestOrientationVariant:
     def test_turns_change_heading_not_position(self, four_rooms, rng):
         env = gw.GridEnv(four_rooms, variant="orientation")
-        state = gw.AgentState(x=3, y=3, start=(3, 3))
+        state = gw.AgentState(x=3, y=3)
         nxt, _ = env.step(state, gw.TURN_RIGHT, rng)
         assert (nxt.x, nxt.y) == (3, 3) and nxt.heading == 1
         nxt, _ = env.step(nxt, gw.TURN_LEFT, rng)
@@ -275,7 +293,7 @@ class TestOrientationVariant:
 
     def test_move_ahead_follows_heading(self, four_rooms, rng):
         env = gw.GridEnv(four_rooms, variant="orientation")
-        state = gw.AgentState(x=3, y=3, heading=1, start=(3, 3))  # east
+        state = gw.AgentState(x=3, y=3, heading=1)  # east
         nxt, _ = env.step(state, gw.MOVE_AHEAD, rng)
         assert (nxt.x, nxt.y) == (4, 3)
 

@@ -71,6 +71,25 @@ class TestAdvantages:
         assert abs(adv.mean()) < 1e-9
         assert abs(adv.std() - 1.0) < 1e-6
 
+    def test_rollout_batch_matches_parallel_lists(self, rng):
+        rollout = learner.Rollout()
+        steps = [(rng.standard_normal(5), int(rng.integers(4)),
+                  float(rng.standard_normal()), float(rng.standard_normal()),
+                  float(rng.standard_normal()), bool(rng.random() < 0.2))
+                 for _ in range(40)]
+        for step in steps:
+            rollout.add(*step)
+        assert len(rollout) == 40
+        x, a, logp, adv, ret = rollout.batch(0.7, 0.9, 0.8)
+        xs, acts, logps, vals, rews, dones = map(list, zip(*steps))
+        want_adv, want_ret = compute_advantages(
+            np.array(rews), np.array(vals), np.array(dones), 0.7, 0.9, 0.8,
+            normalize=True)
+        assert np.array_equal(x, np.stack(xs)) and a.dtype.kind == "i"
+        assert a.tolist() == acts and logp.tolist() == logps
+        assert np.array_equal(adv, want_adv) and np.array_equal(ret, want_ret)
+        assert len(rollout) == 0
+
 
 class TestLrSchedule:
     def test_linear_endpoints_and_midpoint(self):
@@ -153,7 +172,7 @@ class TestPPO:
             ppo_update(net, opt, np.stack(xs), np.array(acts),
                        np.array(logps), adv, ret, lr=3e-3)
         for ctx in range(3):
-            probs, _, _ = net.policy(x_ctx[ctx])
+            probs = softmax(net.forward(x_ctx[ctx])[0])
             assert probs[0, ctx] > 0.8
 
     def test_nan_guard_restores_params(self, rng):

@@ -23,7 +23,7 @@ def sealed_grid() -> GridMap:
     grid = map_from_text(DOOR_MAP)
     tiles = grid.tiles.copy()
     tiles[9, 3] = WALL
-    return GridMap(grid.width, grid.height, tiles, grid.rooms)
+    return GridMap(grid.width, grid.height, tiles)
 
 
 class TestCoverage:
@@ -158,10 +158,6 @@ class TestReport:
             metrics.build_report([])
 
 
-def test_distance_to_goal_matches_bfs(four_rooms):
-    assert metrics.distance_to_goal(four_rooms, (2, 2), (3, 3)) == 2.0
-
-
 @pytest.mark.parametrize("grid", [make_four_rooms(0), make_maze(21, 17, 0),
                                   sealed_grid()],
                          ids=["four_rooms", "maze", "sealed"])
@@ -211,7 +207,8 @@ def test_run_eval_oracle_matches_bfs(monkeypatch):
     for (start, goal, final), rec in zip(cells, report.episodes):
         assert rec["shortest"] == metrics.grid_shortest_length(env.grid,
                                                                start, goal)
-        assert rec["dts"] == metrics.distance_to_goal(env.grid, final, goal)
+        dts = metrics.grid_shortest_length(env.grid, final, goal)
+        assert rec["dts"] == (None if dts is None else float(dts))
         assert type(rec["shortest"]) in (int, type(None))
         assert type(rec["dts"]) in (float, type(None))
     assert any(rec["shortest"] is None for rec in report.episodes)

@@ -58,60 +58,47 @@ class TestExecute:
     def test_start_at_goal_succeeds_immediately(self, env, encoder, rng):
         g = toy_graph()
         net = ActorCritic(2 * 128 + 3, 4, hidden=(8, 8), seed=0)
-        state = AgentState(x=3, y=3, start=(3, 3))
+        state = AgentState(x=3, y=3)
         obs = env.observe(state)
         res = navigator.execute(env, state, g, net, encoder, obs, obs, rng)
-        assert res.success and res.steps == 0
-        assert res.reason == "already_at_goal"
+        assert res.steps == 0 and res.reason == "already_at_goal"
 
     def test_empty_graph_fails_cleanly(self, env, encoder, rng):
         net = ActorCritic(2 * 128 + 3, 4, hidden=(8, 8), seed=0)
-        state = AgentState(x=3, y=3, start=(3, 3))
+        state = AgentState(x=3, y=3)
         start = env.observe(state)
         goal = env.observation_at(10, 4, np.array([7.0, 1.0, 0.0]))
         res = navigator.execute(env, state, GraphMemory(), net, encoder,
                                 start, goal, rng)
-        assert not res.success and res.reason == "empty_graph"
+        assert res.reason == "empty_graph"
 
     def test_disconnected_goal_reports_unreachable(self, env, encoder, rng):
         g = toy_graph(2)
         # disconnect: the only edge links 0-1; add isolated node 2
         g.try_add_node(unit(128, 9), np.array([40.0, 0, 0]), 5.0)
         net = ActorCritic(2 * 128 + 3, 4, hidden=(8, 8), seed=0)
-        state = AgentState(x=3, y=3, start=(3, 3),
+        state = AgentState(x=3, y=3,
                            pose_est=np.array([0.0, 0.0, 0.0]))
         start = env.observe(state)
         goal = env.observation_at(18, 14, np.array([40.0, 0.0, 0.0]))
         res = navigator.execute(env, state, g, net, encoder, start, goal, rng)
-        assert not res.success and res.reason == "unreachable"
+        assert res.reason == "unreachable"
 
     def test_budget_exhaustion_is_bounded(self, env, encoder, rng):
         """An untrained policy terminates by replan exhaustion or max steps,
         never loops forever, and respects the replan cap."""
         g = toy_graph()
         net = ActorCritic(2 * 128 + 3, 4, hidden=(8, 8), seed=0)
-        state = AgentState(x=2, y=2, start=(2, 2),
+        state = AgentState(x=2, y=2,
                            pose_est=np.array([-6.0, 0.0, 0.0]))
         start = env.observe(state)
         goal = env.observation_at(18, 14, np.array([10.0, 12.0, 0.0]))
         res = navigator.execute(env, state, g, net, encoder, start, goal,
                                 rng, max_steps=120, subgoal_budget=10,
                                 max_replans=2)
-        assert not res.success
         assert res.steps <= 120
         assert res.replans <= 2
         assert res.reason in ("replan_exhausted", "max_steps", "unreachable")
-
-    def test_path_length_equals_steps(self, env, encoder, rng):
-        g = toy_graph()
-        net = ActorCritic(2 * 128 + 3, 4, hidden=(8, 8), seed=0)
-        state = AgentState(x=2, y=2, start=(2, 2))
-        start = env.observe(state)
-        goal = env.observation_at(6, 2, np.array([4.0, 0.0, 0.0]))
-        res = navigator.execute(env, state, g, net, encoder, start, goal,
-                                rng, max_steps=50, subgoal_budget=8,
-                                max_replans=1)
-        assert res.path_length == res.steps
 
 
 class TestAdvanceCursor:
@@ -276,7 +263,7 @@ def run_episodes(env, graph, net, enc, pairs, seed, memo_for):
     rng = np.random.default_rng(seed)
     results = []
     for (sx, sy), (gx, gy) in pairs:
-        state = AgentState(x=sx, y=sy, start=(sx, sy),
+        state = AgentState(x=sx, y=sy,
                            pose_est=np.array([sx - ox, sy - oy, 0.0]))
         goal_obs = env.observation_at(gx, gy, np.array([gx - ox, gy - oy,
                                                         0.0]))
@@ -288,9 +275,8 @@ def run_episodes(env, graph, net, enc, pairs, seed, memo_for):
 
 def outcome(res):
     final = res.final_state
-    return (res.success, res.steps, res.path_length, res.final_distance,
-            res.reason, res.replans, final.x, final.y, final.heading,
-            final.pose_est.tobytes())
+    return (res.steps, res.reason, res.replans, final.x, final.y,
+            final.heading, final.pose_est.tobytes())
 
 
 def memo_input(key, graph, enc, patch_like):

@@ -109,28 +109,45 @@ class TestActorCritic:
         a, logp, v = net.act(x, rng)
         assert 0 <= a < 4 and logp <= 0.0 and np.isfinite(v)
 
-    def test_greedy_act_is_argmax(self, rng):
+    def test_act_samples_from_softmax(self, rng):
         net = self.make()
         x = rng.standard_normal(12)
-        probs, _, _ = net.policy(x)
-        a, _, _ = net.act(x, rng, greedy=True)
-        assert a == int(np.argmax(probs[0]))
-
-    def test_temperature_sampling_matches_scaled_softmax(self, rng):
-        net = self.make()
-        x = rng.standard_normal(12)
-        logits, _, _ = net.forward(x)
-        temp = 0.2
-        expect = softmax(logits / temp)[0]
-        draws = np.array([net.act(x, rng, temperature=temp)[0]
-                          for _ in range(4000)])
-        freq = np.array([(draws == a).mean() for a in range(4)])
+        logits, values, _ = net.forward(x)
+        expect = softmax(logits)[0]
+        draws = [net.act(x, rng) for _ in range(4000)]
+        freq = np.array([np.mean([d[0] == a for d in draws])
+                         for a in range(4)])
         assert np.abs(freq - expect).max() < 0.03
-        assert expect.max() > softmax(logits)[0].max()  # sharper than T=1
+        for a, logp, v in draws[:20]:
+            assert logp == log_probs(logits)[0, a] and v == values[0]
 
-    def test_bad_temperature_rejected(self, rng):
-        with pytest.raises(ValueError):
-            self.make().act(np.zeros(12), rng, temperature=0.0)
+    def test_layer_loop_matches_unrolled_trunk(self, rng):
+        """Byte-equal to the trunk written out layer by layer."""
+        net = self.make()
+        p = net.params
+        for n in (1, 7, 64):
+            x = rng.standard_normal((n, 12))
+            h1 = np.tanh(x @ p["fc1.w"] + p["fc1.b"])
+            h2 = np.tanh(h1 @ p["fc2.w"] + p["fc2.b"])
+            logits, values, cache = net.forward(x)
+            assert logits.tobytes() == (h2 @ p["actor.w"]
+                                        + p["actor.b"]).tobytes()
+            assert values.tobytes() == (h2 @ p["critic.w"]
+                                        + p["critic.b"])[:, 0].tobytes()
+            dlogits = rng.standard_normal((n, 4))
+            dvalues = rng.standard_normal((n, 1))
+            dz2 = ((dlogits @ p["actor.w"].T + dvalues @ p["critic.w"].T)
+                   * (1.0 - h2 * h2))
+            dz1 = (dz2 @ p["fc2.w"].T) * (1.0 - h1 * h1)
+            want = {"actor.w": h2.T @ dlogits, "actor.b": dlogits.sum(axis=0),
+                    "critic.w": h2.T @ dvalues,
+                    "critic.b": dvalues.sum(axis=0),
+                    "fc2.w": h1.T @ dz2, "fc2.b": dz2.sum(axis=0),
+                    "fc1.w": x.T @ dz1, "fc1.b": dz1.sum(axis=0)}
+            grads = net.backward(cache, dlogits, dvalues[:, 0])
+            assert list(grads) == list(want)
+            for k in want:
+                assert grads[k].tobytes() == want[k].tobytes(), k
 
     def test_param_copy_set_round_trip(self, rng):
         net = self.make()

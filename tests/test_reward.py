@@ -42,29 +42,30 @@ class TestBreakdown:
 
 class TestProgress:
     def test_one_hop_closer_pays_alpha(self):
-        g = line_graph()
-        assert topo_progress_reward(g, 0, 1, 4, 0.2) == pytest.approx(0.2)
+        dist = line_graph().distances_from(4)
+        assert topo_progress_reward(0, 1, 0.2, dist) == pytest.approx(0.2)
 
     def test_one_hop_farther_costs_alpha(self):
-        g = line_graph()
-        assert topo_progress_reward(g, 1, 0, 4, 0.2) == pytest.approx(-0.2)
+        dist = line_graph().distances_from(4)
+        assert topo_progress_reward(1, 0, 0.2, dist) == pytest.approx(-0.2)
 
     def test_staying_put_pays_zero(self):
-        g = line_graph()
-        assert topo_progress_reward(g, 2, 2, 4, 0.2) == 0.0
+        dist = line_graph().distances_from(4)
+        assert topo_progress_reward(2, 2, 0.2, dist) == 0.0
 
     def test_unreachable_pays_zero(self):
         g = line_graph()
         g.try_add_node(unit(16, 9), np.array([100.0, 0, 0]), 5.0)  # isolated
-        assert topo_progress_reward(g, 0, 1, 5, 0.2) == 0.0
+        assert topo_progress_reward(0, 1, 0.2, g.distances_from(5)) == 0.0
 
     def test_dist_map_matches_direct_computation(self):
         g = line_graph()
         dist = g.distances_from(4)
         for prev in range(5):
             for cur in range(5):
-                assert (topo_progress_reward(g, prev, cur, 4, 0.2, dist)
-                        == topo_progress_reward(g, prev, cur, 4, 0.2))
+                hops = [len(g.shortest_path(n, 4)) - 1 for n in (prev, cur)]
+                assert (topo_progress_reward(prev, cur, 0.2, dist)
+                        == 0.2 * (hops[0] - hops[1]))
 
     def test_telescoping_along_any_walk(self, rng):
         """Sum of progress rewards over a walk depends only on endpoints."""
@@ -74,10 +75,11 @@ class TestProgress:
             walk = [int(rng.integers(6))]
             for _ in range(15):
                 walk.append(int(rng.integers(6)))
-            total = sum(topo_progress_reward(g, a, b, goal, 0.2)
+            dist = g.distances_from(goal)
+            total = sum(topo_progress_reward(a, b, 0.2, dist)
                         for a, b in zip(walk, walk[1:]))
-            d0 = g.topo_distance(walk[0], goal)
-            d1 = g.topo_distance(walk[-1], goal)
+            d0 = len(g.shortest_path(walk[0], goal)) - 1
+            d1 = len(g.shortest_path(walk[-1], goal)) - 1
             assert total == pytest.approx(0.2 * (d0 - d1))
 
 

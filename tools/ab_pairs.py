@@ -7,19 +7,24 @@ outputs agree, then per metric the medians, quartiles and the change's wins
 (ties count for neither side), and whether a gain is claimable: the change
 wins at least nine tenths of the pairs and the medians differ by more than
 the parent's interquartile range. The last line is the summary as JSON.
+With ``--out FILE`` the summary is also recorded in FILE, together with every
+pair's row, the workload, seeds, ``--seconds``, each checkout's git commit,
+the BLAS thread count the runs reported and the NumPy version. FILE holds
+``{"runs": [record, ...]}``; each invocation appends its record.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload navigate \\
-        --seeds 10-19 --seconds 20
+        --seeds 10-19 --seconds 20 --out BENCH.json
 """
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import statistics
 import subprocess
 import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -68,9 +73,24 @@ def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
             "metrics": metrics}
 
 
+def git_commit(checkout: str) -> Optional[str]:
+    """HEAD commit of ``checkout``, suffixed "-dirty" when tracked files
+    differ from it; None when it is not a git checkout."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", checkout, *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return sha + ("-dirty" if dirty else "")
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
              trace: int) -> Tuple[dict, dict]:
-    """(result, round outputs) of one benchmark run in ``checkout``."""
+    """(result, detail) of one benchmark run in ``checkout``: the result
+    line it prints and the detail file it writes."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
@@ -80,7 +100,20 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     path = os.path.join(checkout, "benchmark", "out",
                         f"{workload}-seed{seed}-trace{trace}.json")
     with open(path) as fh:
-        return result, json.load(fh)["round_outputs"]
+        return result, json.load(fh)
+
+
+def append_record(path: str, record: dict) -> None:
+    """Append ``record`` to the runs of the JSON file at ``path``, creating
+    the file when it does not exist."""
+    doc = {"runs": []}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc["runs"].append(record)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -91,19 +124,25 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", help="append the summary, settings and "
+                        "pair rows to the runs in this JSON file")
     args = parser.parse_args(argv)
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
     pairs = []
+    blas_threads = set()
     for n, seed in enumerate(args.seeds):
         sides = ["parent", "change"] if n % 2 == 0 else ["change", "parent"]
         runs = {side: run_once(getattr(args, side), args.workload, seed,
                                args.seconds, args.trace) for side in sides}
         pair = {side: {m: runs[side][0]["metrics"][m]["value"]
                        for m in better} for side in runs}
-        pair["outputs_equal"] = runs["parent"][1] == runs["change"][1]
+        pair["outputs_equal"] = (runs["parent"][1]["round_outputs"]
+                                 == runs["change"][1]["round_outputs"])
         pair["correct"] = all(runs[s][0]["correct"] for s in runs)
+        pair["seed"], pair["first"] = seed, sides[0]
+        blas_threads |= {runs[s][1]["outputs"]["blas_threads"] for s in runs}
         pairs.append(pair)
         shown = "  ".join(f"{m} {pair['parent'][m]:.4g}/{pair['change'][m]:.4g}"
                           for m in better)
@@ -121,6 +160,17 @@ def main(argv=None) -> int:
               f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
               f", claimable {m['claimable']}")
     print(json.dumps(summary))
+    if args.out:
+        record = {
+            "workload": args.workload, "seeds": args.seeds,
+            "seconds": args.seconds, "trace": args.trace,
+            "parent_commit": git_commit(args.parent),
+            "change_commit": git_commit(args.change),
+            "blas_threads": sorted(blas_threads),
+            "numpy": importlib.metadata.version("numpy"),
+            "rows": pairs, "summary": summary,
+        }
+        append_record(args.out, record)
     return 0
 
 
