@@ -141,7 +141,7 @@ def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
     rollout = Rollout()
     for t in range(1, steps + 1):
         x = np.concatenate([feat, pad])
-        action, logp, value = net.act(x, rng)
+        action, logp, value = net.act(x, rng, memo=rollout.decisions)
         state, obs = env.step(state, action, rng)
         next_feat = enc.encode(obs.patch)
         r = model.intrinsic_reward(feat, action, next_feat)

@@ -99,19 +99,36 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def resume_state(env: GridEnv, graph: GraphMemory,
+                 path: str) -> Optional[AgentState]:
+    """Start of a resumed run: the restored graph's origin cell and heading
+    with a zero pose estimate, so new poses share the stored nodes' frame;
+    None for a graph without an origin. An origin that is not a free cell
+    and heading of ``env`` raises ArtifactError naming ``path``."""
+    if graph.origin is None:
+        return None
+    x, y, heading = graph.origin
+    if not (x.is_integer() and y.is_integer() and heading in range(4)
+            and env.grid.is_free(int(x), int(y))):
+        raise ArtifactError(f"{path}: origin {graph.origin} is not a free "
+                            f"cell and heading of the map")
+    return AgentState(x=int(x), y=int(y), heading=int(heading))
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    net, graph = None, build_graph(cfg)
+    env = build_env(cfg)
+    net, graph, state = None, build_graph(cfg), None
     if args.resume:
+        graph_path = os.path.join(args.out, "graph.dgm")
         net, graph = load_artifacts(
-            os.path.join(args.out, "checkpoint_final.ckpt"),
-            os.path.join(args.out, "graph.dgm"))
+            os.path.join(args.out, "checkpoint_final.ckpt"), graph_path)
+        state = resume_state(env, graph, graph_path)
         log.info("resumed from %s", args.out)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "config.yaml"), "w") as fh:
         fh.write(cfgmod.dumps(cfg))
 
-    env = build_env(cfg)
     enc = build_encoder(cfg)
 
     log_path = os.path.join(args.out, "train_log.jsonl")
@@ -123,7 +140,7 @@ def cmd_train(args) -> int:
                 log_fh.write(json.dumps(rec) + "\n")
 
         result = learner.training_loop(env, graph, enc, cfg, net=net,
-                                       log_writer=writer)
+                                       state=state, log_writer=writer)
         for stats in result.update_stats:
             log_fh.write(json.dumps({"kind": "update", **stats}) + "\n")
 

@@ -66,10 +66,18 @@ def compute_advantages(rewards: np.ndarray, values: np.ndarray,
 
 
 class Rollout:
-    """On-policy transitions gathered between two PPO updates."""
+    """On-policy transitions gathered between two PPO updates.
+
+    ``decisions`` is the decision memo for ``ActorCritic.act`` while the
+    rollout fills: the parameters stay frozen until ``batch`` (PPO's
+    fixed old policy), so an input's action distribution and value are
+    computed once. ``batch`` empties it, because the caller updates the
+    parameters after it.
+    """
 
     def __init__(self):
         self._steps: List[tuple] = []
+        self.decisions: dict = {}
 
     def add(self, x: np.ndarray, a: int, logp: float, v: float, r: float,
             done: bool) -> None:
@@ -85,6 +93,7 @@ class Rollout:
         buffer."""
         x, a, logp, v, r, done = zip(*self._steps)
         self._steps = []
+        self.decisions.clear()
         adv, returns = compute_advantages(
             np.array(r), np.array(v), np.array(done), last_value, gamma, lam,
             normalize=True)
@@ -380,7 +389,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             dist_version = -1
 
         x = policy_input(feat, goal_feat, goal_pose - obs.pose_est)
-        action, logp, value = net.act(x, policy_rng)
+        action, logp, value = net.act(x, policy_rng, memo=rollout.decisions)
         state, obs = env.step(state, action, env_rng)
         feat = enc.encode(obs.patch)
         sem = semantic_score(obs.patch)
@@ -432,6 +441,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                 nx = policy_input(feat, goal_feat, goal_pose - obs.pose_est)
                 _, last_values, _ = net.forward(nx)
                 last_value = float(last_values[0])
+            policy_forwards = len(rollout.decisions)
             bx, ba, blogp, adv, returns = rollout.batch(
                 last_value, float(cfg["learner.discount"]),
                 float(cfg["learner.gae_lambda"]))
@@ -451,6 +461,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                                  beta=float(cfg["learner.beta"]),
                                  steps=int(cfg["learner.il_steps"]))
             stats["il"] = il_stats
+            stats["policy_forwards"] = policy_forwards
             stats["step"] = step
             result.update_stats.append(stats)
 

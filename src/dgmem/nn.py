@@ -12,7 +12,7 @@ optimization is a from-scratch Adam.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,14 +116,31 @@ class ActorCritic:
         return dense_backward(p, self.TRUNK, acts, dh2 * (1.0 - h2 * h2),
                               grads)
 
-    def act(self, x: np.ndarray,
-            rng: np.random.Generator) -> Tuple[int, float, float]:
-        """Sample a single action; returns (action, logp, value)."""
-        logits, values, _ = self.forward(x)
-        probs = softmax(logits)
-        logp = log_probs(logits)
-        a = int(rng.choice(self.n_actions, p=probs[0]))
-        return a, float(logp[0, a]), float(values[0])
+    def act(self, x: np.ndarray, rng: np.random.Generator,
+            memo: Optional[dict] = None) -> Tuple[int, float, float]:
+        """Sample a single action; returns (action, logp, value).
+
+        The draw is the one ``rng.choice(n_actions, p=softmax(logits))``
+        makes: one ``rng.random()`` searched in the normalised CDF, so the
+        action and the generator's state match it exactly. ``memo`` maps
+        ``x.tobytes()`` to (CDF, log-prob row, value) and is filled on a
+        miss; it is valid only while the parameters stay unchanged.
+        Non-finite probabilities raise ValueError, as ``choice`` does.
+        """
+        key = None if memo is None else x.tobytes()
+        decision = None if memo is None else memo.get(key)
+        if decision is None:
+            logits, values, _ = self.forward(x)
+            cdf = softmax(logits)[0].cumsum()
+            if not np.isfinite(cdf[-1]):
+                raise ValueError("Probabilities contain NaN")
+            cdf /= cdf[-1]
+            decision = (cdf, log_probs(logits)[0], float(values[0]))
+            if memo is not None:
+                memo[key] = decision
+        cdf, logp, value = decision
+        a = int(cdf.searchsorted(rng.random(), side="right"))
+        return a, float(logp[a]), value
 
     # -- parameter plumbing ---------------------------------------------------
 

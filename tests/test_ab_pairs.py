@@ -99,3 +99,53 @@ def test_out_file_records_settings_rows_and_summary(tmp_path, monkeypatch):
     assert summary["correct"] == 4
     assert summary["metrics"]["steps_per_s"]["wins"] == 4
     assert second["seeds"] == [7] and len(second["rows"]) == 1
+
+
+def test_trace_times_pairs_untraced_and_records_layer_rows(
+        tmp_path, monkeypatch, capsys):
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "steps_per_s", "better": "higher"}],
+             "per_layer": [{"name": "f.calls", "unit": "count"},
+                           {"name": "g.calls", "unit": "count"},
+                           {"name": "f.self_s", "unit": "s"}]}))
+    calls = []
+
+    def traced_run(checkout, workload, seed, seconds, trace):
+        calls.append((os.path.basename(checkout), seed, seconds, trace))
+        if not trace:
+            return fake_run(checkout, workload, seed, seconds, trace)
+        change = checkout.endswith("change")
+        # layer metrics only, as a traced benchmark run reports them
+        result = {"correct": True,
+                  "metrics": {"f.calls": {"value": 50 if change else 200},
+                              "g.calls": {"value": 7},
+                              "f.self_s": {"value": 0.1 if change else 0.3}}}
+        return result, {"round_outputs": {"sha": "a"},
+                        "outputs": {"blas_threads": 1}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", traced_run)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main([str(dirs["parent"]), str(dirs["change"]),
+                          "--workload", "explore", "--seeds", "4-5",
+                          "--seconds", "20", "--trace", "1",
+                          "--out", str(out)]) == 0
+    # two untraced pairs, then one traced run per side on the first seed
+    assert calls == [("parent", 4, 20.0, 0), ("change", 4, 20.0, 0),
+                     ("change", 5, 20.0, 0), ("parent", 5, 20.0, 0),
+                     ("parent", 4, 0, 1), ("change", 4, 0, 1)]
+    lines = capsys.readouterr().out.splitlines()
+    assert "traced f.calls: parent 200 -> change 50" in lines
+    assert not any("g.calls" in line for line in lines)
+    assert json.loads(lines[-1])["pairs"] == 2
+    (record,) = json.loads(out.read_text())["runs"]
+    assert record["trace"] == 1
+    assert record["summary"]["metrics"]["steps_per_s"]["wins"] == 2
+    layers = record["layers"]
+    assert layers["seed"] == 4 and layers["outputs_equal"]
+    assert layers["parent"] == {"f.calls": 200, "g.calls": 7, "f.self_s": 0.3}
+    assert layers["change"]["f.calls"] == 50
+    assert layers["counts_differ"] == {"f.calls": [200, 50]}

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dgmem import baselines
 from dgmem.encoder import PatchEncoder
@@ -70,6 +71,19 @@ class TestExploreLoops:
         tracker = baselines.explore_intrinsic(env, enc, "rnd", 600, seed=0,
                                               nsteps=128, episode_len=100)
         assert tracker.coverage() > 0.05
+
+    @pytest.mark.parametrize("kind", ["rnd", "dp"])
+    def test_decision_memo_changes_nothing(self, kind, four_rooms,
+                                           monkeypatch, forgetful_rollout):
+        """A memo that keeps nothing visits the same cells as the real one."""
+        hists = []
+        for rollout_cls in (baselines.Rollout, forgetful_rollout):
+            monkeypatch.setattr(baselines, "Rollout", rollout_cls)
+            tracker = baselines.explore_intrinsic(
+                GridEnv(four_rooms), PatchEncoder(), kind, 600, seed=0,
+                nsteps=128, episode_len=100)
+            hists.append(tracker.hist)
+        assert hists[0] == hists[1]
 
     def test_intrinsic_agent_starts_at_given_spawn(self, four_rooms):
         env = GridEnv(four_rooms)

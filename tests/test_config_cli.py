@@ -162,6 +162,43 @@ class TestCliCommands:
         assert code == 0
         assert (out / "graph.dgm").read_text() != first
 
+    def test_resume_starts_at_graph_origin(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert cli.main(self.train_args(out, steps=1500)) == 0
+        graph = GraphMemory.restore((out / "graph.dgm").read_text())
+        starts = []
+        training_loop = learner.training_loop
+
+        def recording(env, graph, enc, cfg, **kwargs):
+            starts.append((kwargs.get("state"), env.spawn(np.random.default_rng(
+                np.random.SeedSequence(int(cfg["seed"])).spawn(4)[0]))))
+            return training_loop(env, graph, enc, cfg, **kwargs)
+
+        monkeypatch.setattr(learner, "training_loop", recording)
+        args = ["train", "--out", str(out), "--steps", "300", "--seed", "1"]
+        assert cli.main(args + ["--resume"]) == 0
+        (state, spawn), = starts
+        # the seed-1 spawn is elsewhere; the resumed agent starts at the
+        # origin of the restored graph, with a zero pose estimate
+        assert (spawn.x, spawn.y) != graph.origin[:2]
+        assert (state.x, state.y, state.heading) == graph.origin
+        assert not state.pose_est.any()
+        # a fresh run still spawns from its seed
+        assert cli.main(args[:2] + [str(tmp_path / "fresh")] + args[3:]) == 0
+        assert starts[1][0] is None
+
+    def test_resume_with_origin_off_the_map_fails_cleanly(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "run"
+        assert cli.main(self.train_args(out, steps=300)) == 0
+        graph = GraphMemory.restore((out / "graph.dgm").read_text())
+        graph.origin = (0.0, 0.0, 0.0)  # a wall cell of FourRooms
+        (out / "graph.dgm").write_text(graph.snapshot())
+        code = cli.main(self.train_args(out, steps=300) + ["--resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "artifact error:" in err and "origin" in err
+
     def test_resume_without_artifacts_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
@@ -210,10 +247,12 @@ class TestCliCommands:
         updates = [r for r in records if r.get("kind") == "update"]
         assert len(calls) >= 2 and len(updates) == len(calls)
         keys = {"kind", "step", "policy_loss", "value_loss", "entropy",
-                "approx_kl", "clip_frac", "il"}
+                "approx_kl", "clip_frac", "il", "policy_forwards"}
         for rec in updates:
             assert keys <= set(rec) <= keys | {"nan_abort"}
             assert set(rec["il"]) == {"ce", "kl", "n"}
+            # distinct policy inputs of the rollout, at most its nsteps
+            assert 0 < rec["policy_forwards"] <= 256
         steps = [r["step"] for r in updates]
         assert steps == sorted(steps) and steps[-1] <= 800
 

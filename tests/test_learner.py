@@ -381,6 +381,40 @@ class TestTrainingLoop:
         assert not np.array_equal(results[0].net.params["fc1.w"],
                                   results[1].net.params["fc1.w"])
 
+    @pytest.mark.parametrize("env_map", ["four_rooms", "maze"])
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_decision_memo_changes_nothing(self, env_map, noise, monkeypatch,
+                                           forgetful_rollout):
+        """A memo that keeps nothing gives the same run as the real one."""
+        forward = ActorCritic.forward
+        runs = []
+        for rollout_cls in (learner.Rollout, forgetful_rollout):
+            monkeypatch.setattr(learner, "Rollout", rollout_cls)
+            forwards = []
+            monkeypatch.setattr(
+                ActorCritic, "forward",
+                lambda net, x: forwards.append(1) or forward(net, x))
+            cfg = self.smoke_cfg(**{"learner.total_steps": 600,
+                                    "env.map": env_map, "env.noise": noise})
+            graph = cli.build_graph(cfg)
+            result = training_loop(cli.build_env(cfg), graph,
+                                   cli.build_encoder(cfg), cfg)
+            runs.append((result, graph.snapshot(), len(forwards)))
+        (memo, memo_snap, memo_fw), (fresh, fresh_snap, fresh_fw) = runs
+        assert memo_snap == fresh_snap
+        assert memo.visit_hist == fresh.visit_hist
+        for k in memo.net.params:
+            assert np.array_equal(memo.net.params[k], fresh.net.params[k])
+            assert np.array_equal(memo.best_params[k], fresh.best_params[k])
+        assert len(memo.update_stats) == len(fresh.update_stats) >= 4
+        for kept, forgot in zip(memo.update_stats, fresh.update_stats):
+            assert 0 < kept.pop("policy_forwards") <= 128
+            assert forgot.pop("policy_forwards") == 0
+            assert kept == forgot
+        # under odometry noise the relative pose, and so the input, rarely
+        # repeats; without noise most steps are memo hits
+        assert memo_fw <= fresh_fw and (noise or memo_fw < fresh_fw / 2)
+
     def test_episodic_respawn_returns_to_spawn(self):
         cfg = self.smoke_cfg(**{"learner.episodic_respawn": True})
         env = cli.build_env(cfg)

@@ -121,6 +121,43 @@ class TestActorCritic:
         for a, logp, v in draws[:20]:
             assert logp == log_probs(logits)[0, a] and v == values[0]
 
+    def test_act_draws_as_choice_does(self, rng):
+        """Draw for draw the action ``rng.choice(p=softmax(logits))`` picks,
+        leaving the generator in the same state, with and without a memo;
+        a memo hit runs no forward."""
+        net = self.make()
+        # large inputs saturate the trunk: near-one-hot and flat rows alike
+        xs = rng.standard_normal((6, 12)) * np.array([[0.1], [1], [3], [10],
+                                                      [30], [100]])
+        forwards = []
+        forward = net.forward
+        net.forward = lambda x: forwards.append(1) or forward(x)
+        for memo in (None, {}):
+            forwards.clear()
+            ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+            for i in range(600):
+                x = xs[i % len(xs)]
+                logits, values, _ = forward(x)
+                want = int(theirs.choice(4, p=softmax(logits)[0]))
+                a, logp, v = net.act(x, ours, memo=memo)
+                assert a == want
+                assert logp == log_probs(logits)[0, a] and v == values[0]
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert len(forwards) == (600 if memo is None else len(xs))
+        assert len(memo) == len(xs)
+
+    def test_act_rejects_nan_parameters(self, rng):
+        net = self.make()
+        net.params["fc1.w"][0, 0] = np.nan
+        x = np.ones(12)
+        with pytest.raises(ValueError):
+            rng.choice(4, p=softmax(net.forward(x)[0])[0])
+        memo = {}
+        for m in (None, memo, memo):
+            with pytest.raises(ValueError):
+                net.act(x, rng, memo=m)
+        assert memo == {}
+
     def test_layer_loop_matches_unrolled_trunk(self, rng):
         """Byte-equal to the trunk written out layer by layer."""
         net = self.make()

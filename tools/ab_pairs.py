@@ -11,9 +11,14 @@ With ``--out FILE`` the summary is also recorded in FILE, together with every
 pair's row, the workload, seeds, ``--seconds``, each checkout's git commit,
 the BLAS thread count the runs reported and the NumPy version. FILE holds
 ``{"runs": [record, ...]}``; each invocation appends its record.
+Pairs are always timed untraced. With ``--trace 1``, one traced run per
+checkout follows on the first seed (``--seconds 0``); the record's
+``layers`` holds both runs' per-layer rows (``<module>.<fn>.calls``,
+``.rows``, ``.self_s`` and the counters) and the counts that differ are
+printed.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload navigate \\
-        --seeds 10-19 --seconds 20 --out BENCH.json
+        --seeds 10-19 --seconds 20 --out BENCH.json [--trace 1]
 """
 from __future__ import annotations
 
@@ -103,6 +108,24 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
         return result, json.load(fh)
 
 
+def traced_layers(args, counts: Sequence[str]) -> dict:
+    """One traced run per checkout on the first seed: both runs' layer
+    rows, whether their round outputs agree, and the ``counts`` metrics
+    whose values differ, as {name: [parent, change]}."""
+    seed = args.seeds[0]
+    runs = {side: run_once(getattr(args, side), args.workload, seed, 0, 1)
+            for side in ("parent", "change")}
+    rows = {side: {m: v["value"] for m, v in runs[side][0]["metrics"].items()}
+            for side in runs}
+    differ = {m: [rows["parent"].get(m), rows["change"].get(m)]
+              for m in counts
+              if rows["parent"].get(m) != rows["change"].get(m)}
+    return {"seed": seed, "parent": rows["parent"], "change": rows["change"],
+            "outputs_equal": (runs["parent"][1]["round_outputs"]
+                              == runs["change"][1]["round_outputs"]),
+            "counts_differ": differ}
+
+
 def append_record(path: str, record: dict) -> None:
     """Append ``record`` to the runs of the JSON file at ``path``, creating
     the file when it does not exist."""
@@ -128,14 +151,17 @@ def main(argv=None) -> int:
                         "pair rows to the runs in this JSON file")
     args = parser.parse_args(argv)
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    counts = [m["name"] for m in spec.get("per_layer", ())
+              if m["unit"] == "count"]
 
     pairs = []
     blas_threads = set()
     for n, seed in enumerate(args.seeds):
         sides = ["parent", "change"] if n % 2 == 0 else ["change", "parent"]
         runs = {side: run_once(getattr(args, side), args.workload, seed,
-                               args.seconds, args.trace) for side in sides}
+                               args.seconds, 0) for side in sides}
         pair = {side: {m: runs[side][0]["metrics"][m]["value"]
                        for m in better} for side in runs}
         pair["outputs_equal"] = (runs["parent"][1]["round_outputs"]
@@ -159,6 +185,11 @@ def main(argv=None) -> int:
               f"({m['change_quartiles'][0]:.4g}-{m['change_quartiles'][1]:.4g})"
               f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
               f", claimable {m['claimable']}")
+    layers = None
+    if args.trace:
+        layers = traced_layers(args, counts)
+        for name, (old, new) in layers["counts_differ"].items():
+            print(f"traced {name}: parent {old} -> change {new}")
     print(json.dumps(summary))
     if args.out:
         record = {
@@ -170,6 +201,8 @@ def main(argv=None) -> int:
             "numpy": importlib.metadata.version("numpy"),
             "rows": pairs, "summary": summary,
         }
+        if layers is not None:
+            record["layers"] = layers
         append_record(args.out, record)
     return 0
 
