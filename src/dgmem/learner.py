@@ -22,7 +22,7 @@ from . import reward as rw
 from .encoder import PatchEncoder, semantic_score
 from .graph import GraphMemory
 from .gridworld import AgentState, GridEnv
-from .nn import ActorCritic, Adam, log_probs, softmax
+from .nn import ActorCritic, Adam, distinct_rows, log_probs, softmax
 
 CKPT_HEADER = "dgmem-ckpt-v1"
 POSE_SCALE = 10.0  # relative poses are divided by this before entering the net
@@ -104,11 +104,15 @@ class Rollout:
 
 def ppo_loss_grads(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
                    old_logp: np.ndarray, adv: np.ndarray, returns: np.ndarray,
-                   clip: float, vf_coef: float,
-                   ent_coef: float) -> Tuple[float, Dict[str, np.ndarray], dict]:
-    """Clipped-surrogate loss value, parameter gradients, and diagnostics."""
+                   clip: float, vf_coef: float, ent_coef: float,
+                   distinct: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                   ) -> Tuple[float, Dict[str, np.ndarray], dict]:
+    """Clipped-surrogate loss value, parameter gradients, and diagnostics.
+
+    ``distinct`` is ``distinct_rows(x)``, passed on to ``net.forward``.
+    """
     n = len(actions)
-    logits, values, cache = net.forward(x)
+    logits, values, cache = net.forward(x, distinct)
     lp_all = log_probs(logits)
     probs = softmax(logits)
     idx = np.arange(n)
@@ -148,21 +152,31 @@ def ppo_update(net: ActorCritic, opt: Adam, x: np.ndarray, actions: np.ndarray,
                lr: float, clip: float = 0.1, epochs: int = 4,
                minibatches: int = 1, vf_coef: float = 0.5,
                ent_coef: float = 0.01) -> dict:
-    """In-place PPO update; restores previous params on a non-finite loss."""
+    """In-place PPO update; restores previous params on a non-finite loss.
+
+    Each minibatch's distinct inputs are found once and reused by every
+    epoch; ``stats["distinct"]`` is their number, summed over minibatches.
+    """
     backup = net.copy_params()
     n = len(actions)
-    splits = np.array_split(np.arange(n), max(minibatches, 1))
+    splits = []
+    for sl in np.array_split(np.arange(n), max(minibatches, 1)):
+        xs = x[sl]
+        splits.append((sl, xs, distinct_rows(xs)))
+    distinct = sum(len(rows) for _, _, (rows, _) in splits)
     stats: dict = {}
     for _ in range(epochs):
-        for sl in splits:
+        for sl, xs, rows in splits:
             loss, grads, stats = ppo_loss_grads(
-                net, x[sl], actions[sl], old_logp[sl], adv[sl], returns[sl],
-                clip, vf_coef, ent_coef)
+                net, xs, actions[sl], old_logp[sl], adv[sl], returns[sl],
+                clip, vf_coef, ent_coef, rows)
             if not np.isfinite(loss):
                 net.set_params(backup)
                 stats["nan_abort"] = True
+                stats["distinct"] = distinct
                 return stats
             opt.step(net.params, grads, lr)
+    stats["distinct"] = distinct
     if not net.params_finite():
         net.set_params(backup)
         stats["nan_abort"] = True
@@ -178,18 +192,20 @@ def il_update(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
 
     Gradient steps are plain SGD with the step size divided by (1 + beta) so
     the update magnitude is invariant to the penalty weight; as beta grows the
-    update vanishes and the policy stays at its phase-start value.
+    update vanishes and the policy stays at its phase-start value. The
+    batch's distinct inputs are found once and reused by every step.
     """
     if len(actions) == 0:
-        return {"ce": 0.0, "kl": 0.0, "n": 0}
+        return {"ce": 0.0, "kl": 0.0, "n": 0, "distinct": 0}
     n = len(actions)
     idx = np.arange(n)
     onehot = np.zeros((n, net.n_actions))
     onehot[idx, np.asarray(actions, int)] = 1.0
+    distinct = distinct_rows(x)
     old_probs = None
     ce = kl = 0.0
     for k in range(max(steps, 1)):
-        logits, _, cache = net.forward(x)
+        logits, _, cache = net.forward(x, distinct)
         probs = softmax(logits)
         lp = log_probs(logits)
         if old_probs is None:
@@ -200,8 +216,8 @@ def il_update(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
         dlogits = ((probs - onehot) + beta * (probs - old_probs)) / (n * (1.0 + beta))
         grads = net.backward(cache, dlogits, np.zeros(len(x)))
         for key, g in grads.items():
-            net.params[key] -= lr * g
-    return {"ce": ce, "kl": kl, "n": n}
+            net.params[key] -= np.multiply(g, lr, out=g)
+    return {"ce": ce, "kl": kl, "n": n, "distinct": len(distinct[0])}
 
 
 def build_il_batch(graph: GraphMemory, n_edges: int,
@@ -461,7 +477,9 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                                  beta=float(cfg["learner.beta"]),
                                  steps=int(cfg["learner.il_steps"]))
             stats["il"] = il_stats
+            stats["ppo_distinct"] = stats.pop("distinct")
             stats["policy_forwards"] = policy_forwards
+            stats["nodes"], stats["edges"] = len(graph), graph.num_edges
             stats["step"] = step
             result.update_stats.append(stats)
 

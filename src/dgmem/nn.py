@@ -9,6 +9,15 @@ input, with separate softmax actor and scalar critic heads. ``MLP`` is a
 tanh stack with a linear output, used by the intrinsic-reward baselines.
 Gradients are checked against finite differences in the test suite;
 optimization is a from-scratch Adam.
+
+Training batches repeat inputs, so ``ActorCritic.forward`` can run the trunk
+on a batch's distinct rows only (``distinct_rows``) and gather the
+activations back; the heads and the backward always see every row. A
+backward allocates nothing large: its temporaries and the weight gradients
+it returns are views of the network's ``Workspace``, valid only until the
+next backward through that network. ``Adam.step`` updates its moments and
+the parameters in place. Every one of these paths is bit-identical to the
+plain expressions it replaces.
 """
 from __future__ import annotations
 
@@ -46,20 +55,68 @@ def tanh_forward(params: Dict[str, np.ndarray], names: Sequence[str],
     return acts
 
 
+class Workspace:
+    """Scratch arrays that a network's backward reuses from call to call.
+
+    ``rows(name, n, cols)`` is an ``(n, cols)`` view of buffer ``name``. The
+    buffer grows to the largest ``n`` asked for and never shrinks, so a
+    training loop stops allocating once it has seen its largest batch.
+    """
+
+    def __init__(self):
+        self.buffers: Dict[str, np.ndarray] = {}
+
+    def rows(self, name: str, n: int, cols: int) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or len(buf) < n:
+            buf = self.buffers[name] = np.empty((n, cols))
+        return buf[:n]
+
+
+def tanh_backward(d: np.ndarray, a: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+    """``d * (1 - a*a)``, written into ``d``; ``scratch`` is a's shape."""
+    np.multiply(a, a, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    return np.multiply(d, scratch, out=d)
+
+
 def dense_backward(params: Dict[str, np.ndarray], names: Sequence[str],
                    acts: Sequence[np.ndarray], d: np.ndarray,
-                   grads: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+                   grads: Dict[str, np.ndarray],
+                   ws: Workspace) -> Dict[str, np.ndarray]:
     """Add the gradients of layers ``names`` to ``grads`` and return it.
 
     ``acts[i]`` is the input of layer ``names[i]``, a tanh output for i > 0;
-    ``d`` is the loss gradient at the last layer's pre-activation.
+    ``d`` is the loss gradient at the last layer's pre-activation. The weight
+    gradients and the temporaries are views of ``ws``: they are valid only
+    until the next backward through it.
     """
+    n = len(d)
     for i in reversed(range(len(names))):
-        grads[f"{names[i]}.w"] = acts[i].T @ d
+        w = params[f"{names[i]}.w"]
+        grads[f"{names[i]}.w"] = np.matmul(
+            acts[i].T, d, out=ws.rows(f"{names[i]}.dw", *w.shape))
         grads[f"{names[i]}.b"] = d.sum(axis=0)
         if i > 0:
-            d = (d @ params[f"{names[i]}.w"].T) * (1.0 - acts[i] * acts[i])
+            d = tanh_backward(
+                np.matmul(d, w.T, out=ws.rows(f"{names[i]}.dx", n, len(w))),
+                acts[i], ws.rows(f"{names[i]}.gate", n, len(w)))
     return grads
+
+
+def distinct_rows(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse) of a 2-D batch: ``x[rows]`` are its distinct rows,
+    compared by their bytes, and ``x[rows][inverse]`` equals ``x``."""
+    x = np.ascontiguousarray(x)
+    keys = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1])))[:, 0]
+    _, rows, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows, inverse.reshape(-1)
+
+
+# OpenBLAS computes a GEMM with M*N*K at most this through its small-matrix
+# kernel, which rounds differently from the blocked kernel a full batch uses.
+SMALL_GEMM = 100 ** 3
 
 
 class ActorCritic:
@@ -77,6 +134,10 @@ class ActorCritic:
         for name, fan_in, fan_out in self.layers(self.input_dim,
                                                  self.n_actions, self.hidden):
             init_dense(rng, self.params, name, fan_in, fan_out)
+        self.workspace = Workspace()
+        # up to this many distinct rows, a trunk GEMM is a small-matrix one
+        self._small_rows = SMALL_GEMM // min(
+            self.params[f"{name}.w"].size for name in self.TRUNK)
 
     @staticmethod
     def layers(input_dim: int, n_actions: int,
@@ -87,13 +148,29 @@ class ActorCritic:
         return [("fc1", input_dim, h1), ("fc2", h1, h2),
                 ("actor", h2, n_actions), ("critic", h2, 1)]
 
-    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
-        """(logits, values, cache) for a batch of inputs, shape (n, input_dim)."""
+    def forward(self, x: np.ndarray,
+                distinct: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                ) -> Tuple[np.ndarray, np.ndarray, dict]:
+        """(logits, values, cache) for a batch of inputs, shape (n, input_dim).
+
+        ``distinct`` is ``distinct_rows(x)``: the trunk then runs on x's
+        distinct rows only and its activations are gathered back to all n
+        rows. It does so only where that rounds as the full batch does: with
+        fewer distinct rows than n, and enough of them that no trunk GEMM is
+        a small-matrix one. The heads (the critic's is a GEMV) always run on
+        all n rows, so the outputs are bit-identical either way.
+        """
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
         p = self.params
-        acts = tanh_forward(p, self.TRUNK, x)
+        small = self._small_rows
+        if distinct is not None and len(x) > len(distinct[0]) > small:
+            rows, inverse = distinct
+            acts = [x] + [a[inverse] for a in
+                          tanh_forward(p, self.TRUNK, x[rows])[1:]]
+        else:
+            acts = tanh_forward(p, self.TRUNK, x)
         h2 = acts[-1]
         logits = h2 @ p["actor.w"] + p["actor.b"]
         values = (h2 @ p["critic.w"] + p["critic.b"])[:, 0]
@@ -101,10 +178,12 @@ class ActorCritic:
 
     def backward(self, cache: dict, dlogits: np.ndarray,
                  dvalues: np.ndarray) -> Dict[str, np.ndarray]:
-        """Parameter gradients given loss gradients at the two heads."""
+        """Parameter gradients given loss gradients at the two heads; the
+        trunk's weight gradients are valid until the next backward."""
         acts = cache["acts"]
         h2 = acts[-1]
-        p = self.params
+        p, ws = self.params, self.workspace
+        n, width = h2.shape
         dvalues = np.asarray(dvalues, float).reshape(-1, 1)
         grads = {
             "actor.w": h2.T @ dlogits,
@@ -112,9 +191,11 @@ class ActorCritic:
             "critic.w": h2.T @ dvalues,
             "critic.b": dvalues.sum(axis=0),
         }
-        dh2 = dlogits @ p["actor.w"].T + dvalues @ p["critic.w"].T
-        return dense_backward(p, self.TRUNK, acts, dh2 * (1.0 - h2 * h2),
-                              grads)
+        dh2 = np.matmul(dlogits, p["actor.w"].T, out=ws.rows("dh2", n, width))
+        dv = np.matmul(dvalues, p["critic.w"].T, out=ws.rows("dv", n, width))
+        dh2 += dv
+        return dense_backward(p, self.TRUNK, acts, tanh_backward(dh2, h2, dv),
+                              grads, ws)
 
     def act(self, x: np.ndarray, rng: np.random.Generator,
             memo: Optional[dict] = None) -> Tuple[int, float, float]:
@@ -164,16 +245,29 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        # one scratch pair for every parameter, sized to the largest
+        size = max((v.size for v in params.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, params: Dict[str, np.ndarray],
              grads: Dict[str, np.ndarray], lr: float) -> None:
+        """One update in place: per parameter, ``m = b1*m + (1-b1)*g``, ``v
+        = b2*v + (1-b2)*(g*g)`` and ``p -= lr * (m/b1c) / (sqrt(v/b2c) +
+        eps)``, with the same operations in the same order."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
-            params[k] -= lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+            m, v = self.m[k], self.v[k]
+            s, u = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+            np.add(np.multiply(m, self.beta1, out=m),
+                   np.multiply(g, 1 - self.beta1, out=s), out=m)
+            np.multiply(g, g, out=s)
+            np.add(np.multiply(v, self.beta2, out=v),
+                   np.multiply(s, 1 - self.beta2, out=s), out=v)
+            np.multiply(np.divide(m, b1c, out=s), lr, out=s)
+            np.add(np.sqrt(np.divide(v, b2c, out=u), out=u), self.eps, out=u)
+            params[k] -= np.divide(s, u, out=s)
 
 
 class MLP:
@@ -187,6 +281,7 @@ class MLP:
         self.params: Dict[str, np.ndarray] = {}
         for name, fan_in, fan_out in zip(self.names, self.dims, self.dims[1:]):
             init_dense(rng, self.params, name, fan_in, fan_out)
+        self.workspace = Workspace()
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, list]:
         acts = tanh_forward(self.params, self.names[:-1],
@@ -197,5 +292,7 @@ class MLP:
         return out, acts
 
     def backward(self, acts: list, dout: np.ndarray) -> Dict[str, np.ndarray]:
+        """Parameter gradients; the weights' are valid until the next
+        backward."""
         return dense_backward(self.params, self.names, acts,
-                              np.asarray(dout, float), {})
+                              np.asarray(dout, float), {}, self.workspace)

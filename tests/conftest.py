@@ -41,3 +41,23 @@ def forgetful_rollout():
             self.decisions = Forgetful()
 
     return ForgetfulRollout
+
+
+@pytest.fixture(scope="session")
+def reference_adam():
+    """``nn.Adam`` with the step written as fresh-array expressions, the
+    formula the in-place step must reproduce byte for byte."""
+    from dgmem.nn import Adam
+
+    class ReferenceAdam(Adam):
+        def step(self, params, grads, lr):
+            self.t += 1
+            b1c = 1.0 - self.beta1 ** self.t
+            b2c = 1.0 - self.beta2 ** self.t
+            for k, g in grads.items():
+                self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
+                self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
+                params[k] -= lr * (self.m[k] / b1c) / (
+                    np.sqrt(self.v[k] / b2c) + self.eps)
+
+    return ReferenceAdam

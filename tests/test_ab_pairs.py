@@ -60,8 +60,10 @@ def test_parse_seeds():
 
 def fake_run(checkout, workload, seed, seconds, trace):
     """A benchmark run's result line and detail file, without running it."""
-    speed = 100.0 + seed + (10.0 if checkout.endswith("change") else 0.0)
+    change = checkout.endswith("change")
+    speed = 100.0 + seed + (10.0 if change else 0.0)
     result = {"correct": True,
+              "minor_faults": 1000 * seed + (1 if change else 5),
               "metrics": {"steps_per_s": {"value": speed},
                           "cpu_s": {"value": 1.0}}}
     detail = {"round_outputs": {"sha": "a" if seed != 2 else checkout},
@@ -99,6 +101,47 @@ def test_out_file_records_settings_rows_and_summary(tmp_path, monkeypatch):
     assert summary["correct"] == 4
     assert summary["metrics"]["steps_per_s"]["wins"] == 4
     assert second["seeds"] == [7] and len(second["rows"]) == 1
+    # page faults: per pair and side, summarised without wins or a claim
+    assert [r["minor_faults"] for r in rows[:2]] == [
+        {"parent": 5, "change": 1}, {"parent": 1005, "change": 1001}]
+    assert summary["minor_faults"] == {
+        "parent_median": 1505.0, "parent_quartiles": [755.0, 2255.0],
+        "change_median": 1501.0, "change_quartiles": [751.0, 2251.0]}
+    assert "minor_faults" not in summary["metrics"]
+
+
+def test_run_once_counts_the_child_page_faults(tmp_path, monkeypatch):
+    """The faults of a run are the RUSAGE_CHILDREN ``ru_minflt`` taken
+    after the benchmark subprocess minus the one taken before it."""
+    (tmp_path / "benchmark" / "out").mkdir(parents=True)
+    (tmp_path / "benchmark" / "out" / "train-seed3-trace0.json").write_text(
+        json.dumps({"round_outputs": {}}))
+    counts = iter([40, 1040])
+    events = []
+
+    class Usage:
+        def __init__(self, minflt):
+            self.ru_minflt = minflt
+
+    def getrusage(who):
+        assert who == ab_pairs.resource.RUSAGE_CHILDREN
+        events.append("rusage")
+        return Usage(next(counts))
+
+    class Proc:
+        stdout = 'noise\n{"correct": true, "metrics": {}}\n'
+
+    def run(cmd, **kwargs):
+        events.append("run")
+        assert kwargs["cwd"] == str(tmp_path) and "--seed" in cmd
+        return Proc()
+
+    monkeypatch.setattr(ab_pairs.resource, "getrusage", getrusage)
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    result, detail = ab_pairs.run_once(str(tmp_path), "train", 3, 0, 0)
+    assert events == ["rusage", "run", "rusage"]
+    assert result == {"correct": True, "metrics": {}, "minor_faults": 1000}
+    assert detail == {"round_outputs": {}}
 
 
 def test_trace_times_pairs_untraced_and_records_layer_rows(
@@ -120,7 +163,7 @@ def test_trace_times_pairs_untraced_and_records_layer_rows(
             return fake_run(checkout, workload, seed, seconds, trace)
         change = checkout.endswith("change")
         # layer metrics only, as a traced benchmark run reports them
-        result = {"correct": True,
+        result = {"correct": True, "minor_faults": 0,
                   "metrics": {"f.calls": {"value": 50 if change else 200},
                               "g.calls": {"value": 7},
                               "f.self_s": {"value": 0.1 if change else 0.3}}}

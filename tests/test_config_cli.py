@@ -247,14 +247,25 @@ class TestCliCommands:
         updates = [r for r in records if r.get("kind") == "update"]
         assert len(calls) >= 2 and len(updates) == len(calls)
         keys = {"kind", "step", "policy_loss", "value_loss", "entropy",
-                "approx_kl", "clip_frac", "il", "policy_forwards"}
+                "approx_kl", "clip_frac", "il", "policy_forwards",
+                "ppo_distinct", "nodes", "edges"}
         for rec in updates:
             assert keys <= set(rec) <= keys | {"nan_abort"}
-            assert set(rec["il"]) == {"ce", "kl", "n"}
-            # distinct policy inputs of the rollout, at most its nsteps
+            assert set(rec["il"]) == {"ce", "kl", "n", "distinct"}
+            # distinct policy inputs of the rollout, at most its nsteps; the
+            # one PPO minibatch holds the same inputs
             assert 0 < rec["policy_forwards"] <= 256
+            assert rec["ppo_distinct"] == rec["policy_forwards"]
+            assert 0 <= rec["il"]["distinct"] <= rec["il"]["n"]
+            assert (rec["il"]["distinct"] > 0) == (rec["il"]["n"] > 0)
+            assert rec["nodes"] > 0 and rec["edges"] >= 0
         steps = [r["step"] for r in updates]
         assert steps == sorted(steps) and steps[-1] <= 800
+        # the graph at each update: nodes are never removed
+        nodes = [r["nodes"] for r in updates]
+        assert nodes == sorted(nodes)
+        snapshot = json.loads((out / "graph.dgm").read_text().split("\n")[1])
+        assert nodes[-1] <= len(snapshot["nodes"])
 
     def test_train_bad_config_fails_cleanly(self, tmp_path):
         bad = tmp_path / "bad.yaml"

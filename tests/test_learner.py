@@ -252,9 +252,143 @@ class TestImitation:
         net = ActorCritic(6, 4, hidden=(8, 8), seed=0)
         before = net.copy_params()
         stats = il_update(net, np.zeros((0, 6)), np.zeros(0, int), lr=0.1)
-        assert stats["n"] == 0
+        assert stats["n"] == stats["distinct"] == 0
         for k in before:
             assert np.array_equal(net.params[k], before[k])
+
+
+class ReferenceNet(ActorCritic):
+    """``ActorCritic`` with the forward and backward written out in fresh
+    arrays, every row through the trunk: what distinct rows and the
+    workspace must reproduce byte for byte."""
+
+    def forward(self, x, distinct=None):
+        x = np.atleast_2d(np.asarray(x, float))
+        p = self.params
+        h1 = np.tanh(x @ p["fc1.w"] + p["fc1.b"])
+        h2 = np.tanh(h1 @ p["fc2.w"] + p["fc2.b"])
+        logits = h2 @ p["actor.w"] + p["actor.b"]
+        values = (h2 @ p["critic.w"] + p["critic.b"])[:, 0]
+        return logits, values, {"x": x, "acts": [x, h1, h2]}
+
+    def backward(self, cache, dlogits, dvalues):
+        x, h1, h2 = cache["acts"]
+        p = self.params
+        dvalues = np.asarray(dvalues, float).reshape(-1, 1)
+        dz2 = ((dlogits @ p["actor.w"].T + dvalues @ p["critic.w"].T)
+               * (1.0 - h2 * h2))
+        dz1 = (dz2 @ p["fc2.w"].T) * (1.0 - h1 * h1)
+        return {"actor.w": h2.T @ dlogits, "actor.b": dlogits.sum(axis=0),
+                "critic.w": h2.T @ dvalues, "critic.b": dvalues.sum(axis=0),
+                "fc2.w": h1.T @ dz2, "fc2.b": dz2.sum(axis=0),
+                "fc1.w": x.T @ dz1, "fc1.b": dz1.sum(axis=0)}
+
+
+def reference_ppo_update(net, opt, x, actions, old_logp, adv, returns, lr,
+                         clip=0.1, epochs=4, minibatches=1, vf_coef=0.5,
+                         ent_coef=0.01):
+    """``ppo_update`` before distinct rows: each epoch slices and forwards
+    every row of every minibatch."""
+    backup = net.copy_params()
+    n = len(actions)
+    splits = np.array_split(np.arange(n), max(minibatches, 1))
+    stats = {}
+    for _ in range(epochs):
+        for sl in splits:
+            loss, grads, stats = ppo_loss_grads(
+                net, x[sl], actions[sl], old_logp[sl], adv[sl], returns[sl],
+                clip, vf_coef, ent_coef)
+            if not np.isfinite(loss):
+                net.set_params(backup)
+                stats["nan_abort"] = True
+                return stats
+            opt.step(net.params, grads, lr)
+    if not net.params_finite():
+        net.set_params(backup)
+        stats["nan_abort"] = True
+    return stats
+
+
+def reference_il_update(net, x, actions, lr, beta=0.1, steps=8):
+    """``il_update`` before distinct rows and the in-place SGD step."""
+    if len(actions) == 0:
+        return {"ce": 0.0, "kl": 0.0, "n": 0}
+    n = len(actions)
+    idx = np.arange(n)
+    onehot = np.zeros((n, net.n_actions))
+    onehot[idx, np.asarray(actions, int)] = 1.0
+    old_probs = None
+    ce = kl = 0.0
+    for k in range(max(steps, 1)):
+        logits, _, cache = net.forward(x)
+        probs = softmax(logits)
+        lp = log_probs(logits)
+        if old_probs is None:
+            old_probs = probs.copy()
+            old_lp = lp.copy()
+        ce = float(-(onehot * lp).sum(axis=1).mean())
+        kl = float((old_probs * (old_lp - lp)).sum(axis=1).mean())
+        dlogits = ((probs - onehot) + beta * (probs - old_probs)) / (
+            n * (1.0 + beta))
+        grads = net.backward(cache, dlogits, np.zeros(len(x)))
+        for key, g in grads.items():
+            net.params[key] -= lr * g
+    return {"ce": ce, "kl": kl, "n": n}
+
+
+def duplicate_heavy(rng, k, n, dim=259):
+    """n rows drawn from k distinct random rows, each of them used."""
+    base = rng.standard_normal((k, dim))
+    pick = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    return base[rng.permutation(pick)]
+
+
+def assert_same_params(net, ref):
+    for key in ref.params:
+        assert net.params[key].tobytes() == ref.params[key].tobytes(), key
+
+
+class TestUpdatesMatchReference:
+    """At the default sizes, on batches heavy with duplicates, the updates
+    give the bytes of the reference functions above. 5 distinct inputs is
+    the fall-back to all rows (train seed 1 has such a PPO batch)."""
+
+    @pytest.mark.parametrize("minibatches", [1, 3])
+    @pytest.mark.parametrize("k", [5, 40, 256])
+    def test_ppo_update(self, rng, reference_adam, minibatches, k):
+        net, ref = ActorCritic(259, 4, seed=4), ReferenceNet(259, 4, seed=4)
+        opt, ref_opt = Adam(net.params), reference_adam(ref.params)
+        for _ in range(2):  # the second update starts from Adam moments
+            x = duplicate_heavy(rng, k, 256)
+            actions = rng.integers(0, 4, 256)
+            logits, _, _ = net.forward(x)
+            old_logp = log_probs(logits)[np.arange(256), actions]
+            adv, returns = rng.standard_normal(256), rng.standard_normal(256)
+            args = (x, actions, old_logp, adv, returns, 3e-3)
+            got = ppo_update(net, opt, *args, minibatches=minibatches)
+            want = reference_ppo_update(ref, ref_opt, *args,
+                                        minibatches=minibatches)
+            splits = np.array_split(np.arange(256), minibatches)
+            assert got.pop("distinct") == sum(
+                len(np.unique(x[sl], axis=0)) for sl in splits)
+            assert got == want
+            assert_same_params(net, ref)
+            for key in ref.params:
+                assert opt.m[key].tobytes() == ref_opt.m[key].tobytes()
+                assert opt.v[key].tobytes() == ref_opt.v[key].tobytes()
+
+    @pytest.mark.parametrize("k", [5, 40, 300])
+    def test_il_update(self, rng, k):
+        net, ref = ActorCritic(259, 4, seed=5), ReferenceNet(259, 4, seed=5)
+        for _ in range(2):
+            x = duplicate_heavy(rng, k, 300)
+            actions = rng.integers(0, 4, 300)
+            got = il_update(net, x, actions, lr=0.03, beta=0.1, steps=16)
+            want = reference_il_update(ref, x, actions, lr=0.03, beta=0.1,
+                                       steps=16)
+            assert got.pop("distinct") == k
+            assert got == want
+            assert_same_params(net, ref)
 
 
 class TestILBatch:
@@ -393,7 +527,8 @@ class TestTrainingLoop:
             forwards = []
             monkeypatch.setattr(
                 ActorCritic, "forward",
-                lambda net, x: forwards.append(1) or forward(net, x))
+                lambda net, x, *rest: forwards.append(1)
+                or forward(net, x, *rest))
             cfg = self.smoke_cfg(**{"learner.total_steps": 600,
                                     "env.map": env_map, "env.noise": noise})
             graph = cli.build_graph(cfg)

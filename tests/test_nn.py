@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dgmem.nn import MLP, ActorCritic, Adam, log_probs, softmax
+from dgmem.nn import (MLP, ActorCritic, Adam, distinct_rows, log_probs,
+                      softmax)
 
 
 def finite_diff_check(params, loss_fn, grads, eps=1e-6, rel_tol=1e-4,
@@ -201,6 +202,103 @@ class TestActorCritic:
         assert not net.params_finite()
 
 
+def duplicate_heavy(rng, k, n, dim):
+    """n rows drawn from k distinct random rows, each of them used."""
+    base = rng.standard_normal((k, dim))
+    pick = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    return base[rng.permutation(pick)]
+
+
+class TestDistinctRows:
+    def test_rows_and_inverse_rebuild_the_batch(self, rng):
+        x = duplicate_heavy(rng, 9, 50, 5)
+        rows, inverse = distinct_rows(x)
+        assert len(rows) == 9 and inverse.shape == (50,)
+        assert x[rows][inverse].tobytes() == x.tobytes()
+
+    def test_rows_compare_by_bytes(self):
+        # -0.0 == 0.0 as numbers, but a row holding either stays its own
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        rows, inverse = distinct_rows(x)
+        assert len(rows) == 2 and x[rows][inverse].tobytes() == x.tobytes()
+
+    def test_forward_over_distinct_rows_is_byte_equal(self, rng):
+        """At the default sizes (259 -> 512 -> 256), 1 to 40 distinct rows
+        in batches of 8 to 409 give the full batch's bytes: fewer than 8
+        distinct rows run the full batch, more run only the distinct ones."""
+        net = ActorCritic(259, 4, seed=1)
+        for k in range(1, 41):
+            for n in sorted({max(k, 8), 64, 256, 409}):
+                x = duplicate_heavy(rng, k, n, 259)
+                logits, values, cache = net.forward(x)
+                dlogits, dvalues, dcache = net.forward(x, distinct_rows(x))
+                assert dlogits.tobytes() == logits.tobytes(), (k, n)
+                assert dvalues.tobytes() == values.tobytes(), (k, n)
+                assert len(dcache["acts"]) == len(cache["acts"]) == 3
+                for got, want in zip(dcache["acts"], cache["acts"]):
+                    assert got.tobytes() == want.tobytes(), (k, n)
+
+    def test_few_distinct_rows_run_the_full_batch(self, rng, monkeypatch):
+        from dgmem import nn
+        net = ActorCritic(259, 4, seed=1)
+        seen = []
+        real = nn.tanh_forward
+        monkeypatch.setattr(nn, "tanh_forward",
+                            lambda p, names, x: seen.append(len(x))
+                            or real(p, names, x))
+        for k in (7, 8, 64):
+            x = duplicate_heavy(rng, k, 64, 259)
+            net.forward(x, distinct_rows(x))
+        assert seen == [64, 8, 64]
+
+
+class TestWorkspace:
+    def test_gradients_survive_a_forward(self, rng):
+        net = ActorCritic(259, 4, seed=2)
+        x = duplicate_heavy(rng, 20, 128, 259)
+        logits, values, cache = net.forward(x)
+        grads = net.backward(cache, rng.standard_normal(logits.shape),
+                             rng.standard_normal(len(x)))
+        kept = {k: g.copy() for k, g in grads.items()}
+        other = duplicate_heavy(rng, 30, 300, 259)
+        net.forward(other, distinct_rows(other))
+        net.forward(other)
+        for k in kept:
+            assert grads[k].tobytes() == kept[k].tobytes(), k
+
+    def test_buffers_stop_growing_at_the_largest_batch(self, rng):
+        ac, mlp = ActorCritic(259, 4, seed=2), MLP(6, (8, 8), 3, seed=1)
+        for net in (ac, mlp):
+            seen = []
+            for n in (64, 300, 10, 200, 300, 1, 299):
+                if net is ac:
+                    logits, _, cache = ac.forward(
+                        rng.standard_normal((n, 259)))
+                    ac.backward(cache, np.ones_like(logits), np.ones(n))
+                else:
+                    out, acts = mlp.forward(rng.standard_normal((n, 6)))
+                    mlp.backward(acts, np.ones_like(out))
+                seen.append({k: (id(b), b.shape)
+                             for k, b in net.workspace.buffers.items()})
+            # after the 300-row batch every buffer is the same array, the
+            # per-row ones 300 rows long, the weight gradients weight-shaped
+            assert seen[1] and all(later == seen[1] for later in seen[2:])
+            for name, (_, shape) in seen[1].items():
+                if name.endswith(".dw"):
+                    assert shape == net.params[name[:-3] + ".w"].shape
+                else:
+                    assert shape[0] == 300, name
+
+    def test_second_backward_reuses_the_weight_gradients(self, rng):
+        net = ActorCritic(12, 4, hidden=(16, 8), seed=3)
+        x = rng.standard_normal((5, 12))
+        logits, _, cache = net.forward(x)
+        first = net.backward(cache, np.ones_like(logits), np.ones(5))
+        second = net.backward(cache, np.ones_like(logits), np.ones(5))
+        assert first["fc1.w"] is not second["fc1.w"]
+        assert np.shares_memory(first["fc1.w"], second["fc1.w"])
+
+
 class TestAdam:
     def test_converges_on_quadratic(self):
         params = {"w": np.array([5.0, -3.0])}
@@ -215,6 +313,27 @@ class TestAdam:
         opt = Adam(params)
         opt.step(params, {"w": np.array([1.0, -2.0, 0.5])}, lr=0.1)
         assert np.allclose(np.abs(params["w"]), 0.1, atol=1e-6)
+
+
+    def test_in_place_step_matches_the_formula(self, rng, reference_adam):
+        """50 random steps on mixed shapes: the in-place update gives the
+        bytes of the fresh-array formula, moments included."""
+        shapes = {"w": (7, 5), "b": (5,), "big": (40, 30), "s": (1,)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref_params = {k: v.copy() for k, v in params.items()}
+        opt, ref = Adam(params), reference_adam(ref_params)
+        for step in range(50):
+            keys = [k for k in shapes if rng.random() < 0.8] or ["w"]
+            grads = {k: rng.standard_normal(shapes[k])
+                     * 10.0 ** rng.integers(-6, 3) for k in keys}
+            lr = float(rng.uniform(1e-5, 1e-1))
+            opt.step(params, {k: g.copy() for k, g in grads.items()}, lr)
+            ref.step(ref_params, grads, lr)
+            for k in shapes:
+                assert params[k].tobytes() == ref_params[k].tobytes(), step
+                assert opt.m[k].tobytes() == ref.m[k].tobytes()
+                assert opt.v[k].tobytes() == ref.v[k].tobytes()
+        assert opt.t == ref.t == 50
 
 
 class TestMLP:

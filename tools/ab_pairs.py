@@ -7,6 +7,9 @@ outputs agree, then per metric the medians, quartiles and the change's wins
 (ties count for neither side), and whether a gain is claimable: the change
 wins at least nine tenths of the pairs and the medians differ by more than
 the parent's interquartile range. The last line is the summary as JSON.
+Each run's minor page faults (the ``ru_minflt`` of the benchmark process)
+are printed with its pair and summarised per side; they explain a timing and
+are neither gated nor claimable.
 With ``--out FILE`` the summary is also recorded in FILE, together with every
 pair's row, the workload, seeds, ``--seconds``, each checkout's git commit,
 the BLAS thread count the runs reported and the NumPy version. FILE holds
@@ -26,6 +29,7 @@ import argparse
 import importlib.metadata
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -78,6 +82,16 @@ def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
             "metrics": metrics}
 
 
+def fault_summary(pairs: List[dict]) -> dict:
+    """Median and quartiles of each side's minor page faults."""
+    out = {}
+    for side in ("parent", "change"):
+        faults = [p["minor_faults"][side] for p in pairs]
+        out[f"{side}_median"] = statistics.median(faults)
+        out[f"{side}_quartiles"] = quartiles(faults)
+    return out
+
+
 def git_commit(checkout: str) -> Optional[str]:
     """HEAD commit of ``checkout``, suffixed "-dirty" when tracked files
     differ from it; None when it is not a git checkout."""
@@ -95,13 +109,17 @@ def git_commit(checkout: str) -> Optional[str]:
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
              trace: int) -> Tuple[dict, dict]:
     """(result, detail) of one benchmark run in ``checkout``: the result
-    line it prints and the detail file it writes."""
+    line it prints, with the run's minor page faults added as
+    ``minor_faults``, and the detail file it writes."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["minor_faults"] = faults
     path = os.path.join(checkout, "benchmark", "out",
                         f"{workload}-seed{seed}-trace{trace}.json")
     with open(path) as fh:
@@ -167,17 +185,21 @@ def main(argv=None) -> int:
         pair["outputs_equal"] = (runs["parent"][1]["round_outputs"]
                                  == runs["change"][1]["round_outputs"])
         pair["correct"] = all(runs[s][0]["correct"] for s in runs)
+        pair["minor_faults"] = {s: runs[s][0]["minor_faults"] for s in runs}
         pair["seed"], pair["first"] = seed, sides[0]
         blas_threads |= {runs[s][1]["outputs"]["blas_threads"] for s in runs}
         pairs.append(pair)
         shown = "  ".join(f"{m} {pair['parent'][m]:.4g}/{pair['change'][m]:.4g}"
                           for m in better)
+        faults = pair["minor_faults"]
         print(f"pair {n} seed {seed} ({sides[0]} first): {shown}  "
+              f"minor_faults {faults['parent']}/{faults['change']}  "
               f"outputs {'equal' if pair['outputs_equal'] else 'DIFFER'}  "
               f"correct {pair['correct']}", flush=True)
 
     summary = summarize(pairs, better)
     summary["correct"] = sum(p["correct"] for p in pairs)
+    summary["minor_faults"] = faults = fault_summary(pairs)
     for name, m in summary["metrics"].items():
         print(f"{name}: parent {m['parent_median']:.4g} "
               f"({m['parent_quartiles'][0]:.4g}-{m['parent_quartiles'][1]:.4g})"
@@ -185,6 +207,11 @@ def main(argv=None) -> int:
               f"({m['change_quartiles'][0]:.4g}-{m['change_quartiles'][1]:.4g})"
               f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
               f", claimable {m['claimable']}")
+    print(f"minor_faults (not gated): parent {faults['parent_median']:.4g} "
+          f"({faults['parent_quartiles'][0]:.4g}-"
+          f"{faults['parent_quartiles'][1]:.4g}) -> change "
+          f"{faults['change_median']:.4g} ({faults['change_quartiles'][0]:.4g}"
+          f"-{faults['change_quartiles'][1]:.4g})")
     layers = None
     if args.trace:
         layers = traced_layers(args, counts)
