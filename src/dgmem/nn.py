@@ -245,7 +245,8 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
-        # one scratch pair for every parameter, sized to the largest
+        # one scratch pair shared by every parameter: one pair per parameter
+        # would double Adam's memory
         size = max((v.size for v in params.values()), default=0)
         self._scratch = (np.empty(size), np.empty(size))
 

@@ -44,6 +44,18 @@ def forgetful_rollout():
 
 
 @pytest.fixture(scope="session")
+def duplicate_heavy():
+    """``make(rng, k, n, dim)``: n rows drawn from k distinct random rows,
+    each of them used."""
+    def make(rng, k, n, dim=259):
+        base = rng.standard_normal((k, dim))
+        pick = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        return base[rng.permutation(pick)]
+
+    return make
+
+
+@pytest.fixture(scope="session")
 def reference_adam():
     """``nn.Adam`` with the step written as fresh-array expressions, the
     formula the in-place step must reproduce byte for byte."""

@@ -336,13 +336,6 @@ def reference_il_update(net, x, actions, lr, beta=0.1, steps=8):
     return {"ce": ce, "kl": kl, "n": n}
 
 
-def duplicate_heavy(rng, k, n, dim=259):
-    """n rows drawn from k distinct random rows, each of them used."""
-    base = rng.standard_normal((k, dim))
-    pick = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
-    return base[rng.permutation(pick)]
-
-
 def assert_same_params(net, ref):
     for key in ref.params:
         assert net.params[key].tobytes() == ref.params[key].tobytes(), key
@@ -355,7 +348,8 @@ class TestUpdatesMatchReference:
 
     @pytest.mark.parametrize("minibatches", [1, 3])
     @pytest.mark.parametrize("k", [5, 40, 256])
-    def test_ppo_update(self, rng, reference_adam, minibatches, k):
+    def test_ppo_update(self, rng, reference_adam, duplicate_heavy,
+                        minibatches, k):
         net, ref = ActorCritic(259, 4, seed=4), ReferenceNet(259, 4, seed=4)
         opt, ref_opt = Adam(net.params), reference_adam(ref.params)
         for _ in range(2):  # the second update starts from Adam moments
@@ -378,7 +372,7 @@ class TestUpdatesMatchReference:
                 assert opt.v[key].tobytes() == ref_opt.v[key].tobytes()
 
     @pytest.mark.parametrize("k", [5, 40, 300])
-    def test_il_update(self, rng, k):
+    def test_il_update(self, rng, duplicate_heavy, k):
         net, ref = ActorCritic(259, 4, seed=5), ReferenceNet(259, 4, seed=5)
         for _ in range(2):
             x = duplicate_heavy(rng, k, 300)

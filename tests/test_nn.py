@@ -202,15 +202,8 @@ class TestActorCritic:
         assert not net.params_finite()
 
 
-def duplicate_heavy(rng, k, n, dim):
-    """n rows drawn from k distinct random rows, each of them used."""
-    base = rng.standard_normal((k, dim))
-    pick = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
-    return base[rng.permutation(pick)]
-
-
 class TestDistinctRows:
-    def test_rows_and_inverse_rebuild_the_batch(self, rng):
+    def test_rows_and_inverse_rebuild_the_batch(self, rng, duplicate_heavy):
         x = duplicate_heavy(rng, 9, 50, 5)
         rows, inverse = distinct_rows(x)
         assert len(rows) == 9 and inverse.shape == (50,)
@@ -222,14 +215,14 @@ class TestDistinctRows:
         rows, inverse = distinct_rows(x)
         assert len(rows) == 2 and x[rows][inverse].tobytes() == x.tobytes()
 
-    def test_forward_over_distinct_rows_is_byte_equal(self, rng):
+    def test_forward_over_distinct_rows_is_byte_equal(self, rng, duplicate_heavy):
         """At the default sizes (259 -> 512 -> 256), 1 to 40 distinct rows
         in batches of 8 to 409 give the full batch's bytes: fewer than 8
         distinct rows run the full batch, more run only the distinct ones."""
         net = ActorCritic(259, 4, seed=1)
         for k in range(1, 41):
             for n in sorted({max(k, 8), 64, 256, 409}):
-                x = duplicate_heavy(rng, k, n, 259)
+                x = duplicate_heavy(rng, k, n)
                 logits, values, cache = net.forward(x)
                 dlogits, dvalues, dcache = net.forward(x, distinct_rows(x))
                 assert dlogits.tobytes() == logits.tobytes(), (k, n)
@@ -238,7 +231,8 @@ class TestDistinctRows:
                 for got, want in zip(dcache["acts"], cache["acts"]):
                     assert got.tobytes() == want.tobytes(), (k, n)
 
-    def test_few_distinct_rows_run_the_full_batch(self, rng, monkeypatch):
+    def test_few_distinct_rows_run_the_full_batch(self, rng, monkeypatch,
+                                                duplicate_heavy):
         from dgmem import nn
         net = ActorCritic(259, 4, seed=1)
         seen = []
@@ -247,20 +241,20 @@ class TestDistinctRows:
                             lambda p, names, x: seen.append(len(x))
                             or real(p, names, x))
         for k in (7, 8, 64):
-            x = duplicate_heavy(rng, k, 64, 259)
+            x = duplicate_heavy(rng, k, 64)
             net.forward(x, distinct_rows(x))
         assert seen == [64, 8, 64]
 
 
 class TestWorkspace:
-    def test_gradients_survive_a_forward(self, rng):
+    def test_gradients_survive_a_forward(self, rng, duplicate_heavy):
         net = ActorCritic(259, 4, seed=2)
-        x = duplicate_heavy(rng, 20, 128, 259)
+        x = duplicate_heavy(rng, 20, 128)
         logits, values, cache = net.forward(x)
         grads = net.backward(cache, rng.standard_normal(logits.shape),
                              rng.standard_normal(len(x)))
         kept = {k: g.copy() for k, g in grads.items()}
-        other = duplicate_heavy(rng, 30, 300, 259)
+        other = duplicate_heavy(rng, 30, 300)
         net.forward(other, distinct_rows(other))
         net.forward(other)
         for k in kept:

@@ -199,7 +199,7 @@ def main(argv=None) -> int:
 
     summary = summarize(pairs, better)
     summary["correct"] = sum(p["correct"] for p in pairs)
-    summary["minor_faults"] = faults = fault_summary(pairs)
+    summary["minor_faults"] = fault_stats = fault_summary(pairs)
     for name, m in summary["metrics"].items():
         print(f"{name}: parent {m['parent_median']:.4g} "
               f"({m['parent_quartiles'][0]:.4g}-{m['parent_quartiles'][1]:.4g})"
@@ -207,11 +207,12 @@ def main(argv=None) -> int:
               f"({m['change_quartiles'][0]:.4g}-{m['change_quartiles'][1]:.4g})"
               f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
               f", claimable {m['claimable']}")
-    print(f"minor_faults (not gated): parent {faults['parent_median']:.4g} "
-          f"({faults['parent_quartiles'][0]:.4g}-"
-          f"{faults['parent_quartiles'][1]:.4g}) -> change "
-          f"{faults['change_median']:.4g} ({faults['change_quartiles'][0]:.4g}"
-          f"-{faults['change_quartiles'][1]:.4g})")
+    old_q, new_q = (fault_stats[f"{side}_quartiles"]
+                    for side in ("parent", "change"))
+    print(f"minor_faults (not gated): parent "
+          f"{fault_stats['parent_median']:.4g} ({old_q[0]:.4g}-{old_q[1]:.4g})"
+          f" -> change {fault_stats['change_median']:.4g} "
+          f"({new_q[0]:.4g}-{new_q[1]:.4g})")
     layers = None
     if args.trace:
         layers = traced_layers(args, counts)
