@@ -87,16 +87,14 @@ def load_artifacts(checkpoint: Optional[str], graph: Optional[str]
 
 
 def _load_config(args) -> dict:
+    """The config file (or the defaults) with the command-line overrides,
+    checked as a whole."""
     cfg = cfgmod.load_file(args.config) if args.config else cfgmod.make_config()
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        cfg["learner.total_steps"] = args.steps
-    if getattr(args, "noise", None) is not None:
-        cfg["env.noise"] = args.noise
-    if getattr(args, "episodes", None) is not None:
-        cfg["eval.episodes"] = args.episodes
-    return cfg
+    for flag, key in (("seed", "seed"), ("steps", "learner.total_steps"),
+                      ("noise", "env.noise"), ("episodes", "eval.episodes")):
+        if getattr(args, flag, None) is not None:
+            cfg[key] = getattr(args, flag)
+    return cfgmod.make_config(cfg)
 
 
 def resume_state(env: GridEnv, graph: GraphMemory,
@@ -205,7 +203,9 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
         records.append({"success": bool(success), "steps": result.steps,
                         "shortest": shortest, "dts": dts,
                         "reason": result.reason, "replans": result.replans})
-    return metrics.build_report(records)
+    report = metrics.build_report(records)
+    report.memo_entries = memo.sizes()
+    return report
 
 
 def cmd_eval(args) -> int:
@@ -221,7 +221,8 @@ def cmd_eval(args) -> int:
         return 2
     summary = {"sr": report.sr, "spl": report.spl, "mean_dts": report.mean_dts,
                "episodes": len(report.episodes), "reasons": report.reasons,
-               "mean_replans": report.mean_replans}
+               "mean_replans": report.mean_replans,
+               "memo_entries": report.memo_entries}
     print(json.dumps(summary))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -89,6 +89,13 @@ def _check(cfg: Dict[str, Any]) -> None:
         raise ConfigError("nsteps and horizon must be positive")
     if cfg["sampler.temperature"] <= 0:
         raise ConfigError("sampler.temperature must be positive")
+    for key in ("env.noise", "eval.noise", "eval.max_steps",
+                "eval.subgoal_budget", "eval.max_replans"):
+        value = cfg[key]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or value < 0):
+            raise ConfigError(f"{key} must be a non-negative number, "
+                              f"got {value!r}")
 
 
 def loads(text: str) -> Dict[str, Any]:

@@ -322,40 +322,42 @@ class GraphMemory:
                 queue.append(m)
         return []
 
-    def weighted_path(self, src: int, dst: int) -> List[int]:
-        """Minimum total stored-trajectory-length path (Dijkstra).
+    def weighted_tree(self, src: int) -> Dict[int, int]:
+        """Minimum total stored-trajectory-length tree from src (Dijkstra).
 
-        Hop count alone favours metrically long edges; weighting each edge
-        by the length of its recorded action trajectory yields routes whose
-        individual legs stay short enough to execute reliably. Ties break
-        toward fewer hops, then lowest node ids. Empty list when dst is
-        unreachable from src.
+        Maps every node reachable from src to its parent on its cheapest
+        path, and src to itself. Hop count alone favours metrically long
+        edges; weighting each edge by the length of its recorded action
+        trajectory yields routes whose individual legs stay short enough to
+        execute reliably. Ties break toward fewer hops, then lowest node ids.
+        (cost, hops) grows along every edge, so a node's parent is final once
+        it is settled: the walk up the tree to any node equals a search that
+        stops at that node.
         """
         self._check_id(src)
-        self._check_id(dst)
-        if src == dst:
-            return [src]
         best = {src: (0, 0)}  # node -> (cost, hops)
         parent = {src: src}
         heap = [(0, 0, src)]
         while heap:
             cost, hops, n = heapq.heappop(heap)
-            if n == dst:
-                path = [dst]
-                while path[-1] != src:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            if (cost, hops) > best.get(n, (cost, hops)):
+            if (cost, hops) > best[n]:
                 continue
             for m in self._adj[n]:
                 key = (n, m) if n < m else (m, n)
-                w = len(self.edges[key].actions)
-                cand = (cost + w, hops + 1)
+                cand = (cost + len(self.edges[key].actions), hops + 1)
                 if m not in best or cand < best[m]:
                     best[m] = cand
                     parent[m] = n
                     heapq.heappush(heap, (cand[0], cand[1], m))
-        return []
+        return parent
+
+    def weighted_path(self, src: int, dst: int) -> List[int]:
+        """Minimum total stored-trajectory-length path: the walk from dst up
+        ``weighted_tree(src)``. Empty list when dst is unreachable from src.
+        """
+        self._check_id(src)
+        self._check_id(dst)
+        return tree_path(self.weighted_tree(src), dst)
 
     def distances_from(self, src: int) -> Dict[int, int]:
         """BFS hop counts from src to every reachable node."""
@@ -481,3 +483,14 @@ class GraphMemory:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
         return graph
+
+
+def tree_path(parent: Dict[int, int], dst: int) -> List[int]:
+    """Path from the root of a ``weighted_tree`` parent map to dst, or the
+    empty list when dst is not in the tree."""
+    if dst not in parent:
+        return []
+    path = [dst]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path[::-1]

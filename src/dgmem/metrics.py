@@ -126,6 +126,8 @@ class EvalReport:
     spl: float
     mean_dts: float
     episodes: List[dict] = field(default_factory=list)
+    # entries per navigator.Memo table at the end of the evaluation
+    memo_entries: Dict[str, int] = field(default_factory=dict)
 
     @property
     def reasons(self) -> Dict[str, int]:

@@ -27,37 +27,44 @@ During an evaluation the network is frozen, the graph is read-only and the
 encoder is deterministic, so every decision is a function of what the agent
 sees and believes: the policy's action probabilities of (current
 view, target, relative pose), where the target is a route node or, on the
-final leg, the goal view; the step's graph query of (view, pose estimate);
-the drift correction of that query and its radius; and a route of its
-(source, destination) nodes. ``execute`` keeps each of these in a ``Memo``
-and computes an entry only on a miss. One evaluation run over fixed
-artifacts may share one memo across its episodes; anything that trains or
-writes the graph may not. Under odometry noise the pose rarely repeats, so
-each table stops taking entries at its bound.
+final leg, the goal view; the step's graph query of (view, pose estimate),
+and with it the per-node subgoal flags of each arrival radius; the drift
+correction of that query and its radius; the route between two nodes, read
+by walking up one Dijkstra tree per source node; and the cells each action
+is predicted to reach from a (pose cell, variant, heading). ``execute``
+keeps each of these in a ``Memo`` and computes an entry only on a miss.
+One evaluation run over fixed artifacts may share one memo across its
+episodes; anything that trains or writes the graph may not. Under odometry
+noise the pose rarely repeats, so each table stops taking entries at its
+bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .encoder import PatchEncoder
-from .graph import GraphMemory
+from .graph import GraphMemory, tree_path
 from .gridworld import (CARDINAL_ACTIONS, ORIENTATION_ACTIONS, AgentState,
                         GridEnv, Observation, action_effect)
 from .learner import policy_input
 from .nn import ActorCritic, softmax
 
 # Bounds of the Memo tables. On the benchmark graph (71 nodes) a policy
-# entry takes about 0.4 KB and a graph query about 2 KB. A noise-free
-# 1000-episode FourRooms evaluation needs about 2.2k policy entries, 256
-# queries, 1.5k drift fixes and 0.8k routes; under odometry noise, where
-# every table fills, they add about 6 MB.
+# entry takes about 0.4 KB, a graph query about 3 KB, a route tree about
+# 2.3 KB and a neighbour entry about 0.7 KB. A noise-free 1000-episode
+# FourRooms evaluation needs about 2.2k policy entries, 256 queries, 1.5k
+# drift fixes, 71 route trees (one per source node; at most one per graph
+# node at any noise) and 256 neighbour entries; under odometry noise, where
+# every table but the routes fills, they add about 7 MB.
 MEMO_ENTRIES = 1 << 13
 QUERY_ENTRIES = 1 << 9
 DRIFT_ENTRIES = 1 << 11
-ROUTE_ENTRIES = 1 << 11
+ROUTE_ENTRIES = 1 << 8
+NEIGHBOUR_ENTRIES = 1 << 11
+RADII_PER_QUERY = 4
 
 
 @dataclass
@@ -98,6 +105,8 @@ class _Query(NamedTuple):
     d_vis: np.ndarray  # negative feature cosine
     planar: np.ndarray  # (x, y) distance to the pose estimate
     nearest: int  # the node the graph localizes the observation on
+    # arrival radius -> per-node "satisfied" flags, see _advance_cursor
+    satisfied: Dict[float, List[bool]]
 
 
 def _query(graph: GraphMemory, feat: np.ndarray, pose: np.ndarray) -> _Query:
@@ -106,7 +115,7 @@ def _query(graph: GraphMemory, feat: np.ndarray, pose: np.ndarray) -> _Query:
     planar = np.sqrt((diff * diff).sum(axis=1))
     for column in (combined, d_vis, planar):
         column.flags.writeable = False
-    return _Query(combined, d_vis, planar, int(np.argmin(combined)))
+    return _Query(combined, d_vis, planar, int(np.argmin(combined)), {})
 
 
 class Memo:
@@ -114,10 +123,14 @@ class Memo:
 
     ``policy`` maps (view bytes, target, relative-pose bytes) to the action
     probabilities as floats, ``query`` maps (view bytes, pose bytes) to a
-    ``_Query``, ``drift`` maps (that key, radius) to ``_drift_correction``'s
-    offset or None, and ``route`` maps (source, destination) to the
-    ``weighted_path`` route. Valid only under the contract in the module
-    docstring; each table takes no entries beyond its bound.
+    ``_Query`` (which keeps its per-node subgoal flags for up to
+    ``RADII_PER_QUERY`` arrival radii), ``drift`` maps (that key, radius) to
+    ``_drift_correction``'s offset or None, ``route`` maps a source node to
+    its ``GraphMemory.weighted_tree``, whose walk to any destination is the
+    ``weighted_path`` route, and ``neighbours`` maps (pose cell, variant,
+    heading) to the cell each action is predicted to reach. Valid only under
+    the contract in the module docstring; each table takes no entries beyond
+    its bound.
     """
 
     def __init__(self):
@@ -125,6 +138,11 @@ class Memo:
         self.query: dict = {}
         self.drift: dict = {}
         self.route: dict = {}
+        self.neighbours: dict = {}
+
+    def sizes(self) -> Dict[str, int]:
+        """Entry count of each table, by table name."""
+        return {name: len(table) for name, table in vars(self).items()}
 
 
 _MISSING = object()
@@ -144,15 +162,20 @@ def _advance_cursor(graph: GraphMemory, plan: "NavPlan", q: _Query,
     Scanning the whole remaining route (not just the next subgoal) lets the
     executor skip waypoints it drifted past, so it never backtracks to touch
     a node the policy has already overshot. ``q`` is the query for the
-    current feature and pose estimate.
+    current feature and pose estimate; it keeps the per-node flags of each
+    radius it has served, and the scan reads the rest of the route backwards
+    over them.
     """
-    rest = np.asarray(plan.route[plan.cursor:], int)
-    hits = np.flatnonzero((q.combined[rest] < graph.d_locate)
-                          | (q.planar[rest] < radius))
-    if not len(hits):
-        return False
-    plan.cursor += int(hits[-1]) + 1
-    return True
+    flags = q.satisfied.get(radius)
+    if flags is None:
+        flags = ((q.combined < graph.d_locate) | (q.planar < radius)).tolist()
+        _keep(q.satisfied, RADII_PER_QUERY, radius, flags)
+    route = plan.route
+    for idx in range(len(route) - 1, plan.cursor - 1, -1):
+        if flags[route[idx]]:
+            plan.cursor = idx + 1
+            return True
+    return False
 
 
 # (dx, dy) of each action, by variant and heading: action_effect's rule
@@ -164,8 +187,9 @@ _MOVES = {(variant, heading): tuple(action_effect(variant, a, heading)[:2]
 
 
 def _select_action(probs: Sequence[float], pose: np.ndarray, variant: str,
-                   visits: dict, blocked: dict,
-                   revisit_penalty: float) -> int:
+                   visits: dict, blocked: dict, revisit_penalty: float,
+                   cell: Optional[Tuple[float, float]] = None,
+                   memo: Optional[Memo] = None) -> int:
     """Score each action and return the first argmax.
 
     score(a) = policy probability ``probs[a]`` - revisit_penalty * prior
@@ -174,18 +198,25 @@ def _select_action(probs: Sequence[float], pose: np.ndarray, variant: str,
     own pose estimate and the known action displacements of the ``variant``
     (at the estimated heading); the penalties carry no information about
     the goal direction, so all goal-seeking comes from the policy.
+    ``cell`` is ``_pose_cell(pose)`` when the caller has it; ``memo`` keeps
+    the predicted next cells of each (cell, variant, heading).
     """
-    cell = _pose_cell(pose)
-    moves = _MOVES[variant, int(round(float(pose[2]))) % 4]
-    if len(probs) > len(moves):
+    if cell is None:
+        cell = _pose_cell(pose)
+    key = (cell, variant, int(round(float(pose[2]))) % 4)
+    table = {} if memo is None else memo.neighbours
+    nbrs = table.get(key)
+    if nbrs is None:
+        nbrs = tuple((round(cell[0] + dx, 1), round(cell[1] + dy, 1))
+                     for dx, dy in _MOVES[key[1:]])
+        _keep(table, NEIGHBOUR_ENTRIES, key, nbrs)
+    if len(probs) > len(nbrs):
         raise ValueError(f"{len(probs)} action probabilities for the "
-                         f"{len(moves)} actions of the {variant} variant")
+                         f"{len(nbrs)} actions of the {variant} variant")
     tried = blocked.get(cell, ())
     best, best_score = 0, None
     for action in range(len(probs)):
-        dx, dy = moves[action]
-        nxt = (round(cell[0] + dx, 1), round(cell[1] + dy, 1))
-        score = probs[action] - revisit_penalty * visits.get(nxt, 0)
+        score = probs[action] - revisit_penalty * visits.get(nbrs[action], 0)
         if action in tried:
             score -= 10.0
         if best_score is None or score > best_score:
@@ -258,11 +289,11 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         return key, q
 
     def _route(src: int, dst: int) -> List[int]:
-        route = memo.route.get((src, dst))
-        if route is None:
-            route = tuple(graph.weighted_path(src, dst))
-            _keep(memo.route, ROUTE_ENTRIES, (src, dst), route)
-        return list(route)
+        tree = memo.route.get(src)
+        if tree is None:
+            tree = graph.weighted_tree(src)
+            _keep(memo.route, ROUTE_ENTRIES, src, tree)
+        return tree_path(tree, dst)
 
     feat = enc.encode(start_obs.patch)
     if _at_goal(feat, start_obs.pose_est):
@@ -311,7 +342,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             probs = tuple(softmax(net.forward(x)[0])[0].tolist())
             _keep(memo.policy, MEMO_ENTRIES, key, probs)
         action = _select_action(probs, pose, env.variant, visits, blocked,
-                                revisit_penalty)
+                                revisit_penalty, cell, memo)
         state, obs = env.step(state, action, rng)
         view_key = obs.patch.tobytes()
         feat = enc.encode(obs.patch)

@@ -110,6 +110,37 @@ def test_out_file_records_settings_rows_and_summary(tmp_path, monkeypatch):
     assert "minor_faults" not in summary["metrics"]
 
 
+@pytest.mark.parametrize("value, recorded", [(None, False), ("", False),
+                                             ("1", True)])
+def test_records_whether_bytecode_writing_is_off(tmp_path, monkeypatch,
+                                                 capsys, value, recorded):
+    """PYTHONDONTWRITEBYTECODE is printed once and stored in the record:
+    when set, every run's setup_s includes compiling the sources."""
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main([str(dirs["parent"]), str(dirs["change"]),
+                          "--workload", "navigate", "--seeds", "0-1",
+                          "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "PYTHONDONTWRITEBYTECODE" in line]
+    assert lines == [f"PYTHONDONTWRITEBYTECODE "
+                     f"{'set' if recorded else 'not set'}"
+                     + (": setup_s includes compiling every module"
+                        if recorded else "")]
+    (record,) = json.loads(out.read_text())["runs"]
+    assert record["pythondontwritebytecode"] is recorded
+
+
 def test_run_once_counts_the_child_page_faults(tmp_path, monkeypatch):
     """The faults of a run are the RUSAGE_CHILDREN ``ru_minflt`` taken
     after the benchmark subprocess minus the one taken before it."""

@@ -106,7 +106,15 @@ class TestCliCommands:
         assert code == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert {"sr", "spl", "mean_dts", "episodes", "reasons",
-                "mean_replans"} <= set(summary)
+                "mean_replans", "memo_entries"} <= set(summary)
+        # entries of each navigator.Memo table after the evaluation
+        sizes = summary["memo_entries"]
+        assert set(sizes) == {"policy", "query", "drift", "route",
+                              "neighbours"}
+        assert all(isinstance(n, int) and n >= 0 for n in sizes.values())
+        assert sizes["policy"] > 0 and sizes["query"] > 0
+        assert 0 < sizes["route"] <= len(GraphMemory.restore(
+            (out / "graph.dgm").read_text()))
         report = json.loads((tmp_path / "eval" / "eval_report.json")
                             .read_text())
         records = report.pop("records")
@@ -284,6 +292,34 @@ class TestCliCommands:
                          "--config", self.bad_config(tmp_path)])
         assert code == 2
         assert "config error: unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("env.noise", "-1"), ("eval.noise", "-0.3"), ("eval.max_steps", "-1"),
+        ("eval.subgoal_budget", "-5"), ("eval.max_replans", "-1"),
+        ("eval.max_replans", "three")])
+    def test_negative_setting_fails_cleanly(self, tmp_path, capsys, key,
+                                            value):
+        """A negative noise would run without noise and a negative budget
+        or replan count would end every episode early; both exit 2, as
+        does a value that is not a number."""
+        cfg = self.bad_config(tmp_path, f"{key}: {value}\n")
+        if key == "env.noise":
+            argv = ["explore", "--agent", "random", "--steps", "5",
+                    "--config", cfg]
+        else:
+            argv = ["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
+                    "--graph", str(tmp_path / "no.dgm"), "--config", cfg]
+        assert cli.main(argv) == 2
+        assert (f"config error: {key} must be a non-negative number"
+                in capsys.readouterr().err)
+
+    def test_negative_noise_flag_fails_cleanly(self, tmp_path, capsys):
+        code = cli.main(["train", "--out", str(tmp_path / "run"),
+                         "--steps", "10", "--noise", "-0.5"])
+        assert code == 2
+        assert ("config error: env.noise must be a non-negative number"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_render_bad_config_fails_cleanly(self, tmp_path, capsys):
         code = cli.main(["render", "--config", self.bad_config(tmp_path),

@@ -1,4 +1,6 @@
+import heapq
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from dgmem.encoder import semantic_score
 from dgmem.graph import (GraphMemory, NoNodesError, SnapshotError,
-                         UnknownNodeError)
+                         UnknownNodeError, tree_path)
 from dgmem.gridworld import AgentState
 
 
@@ -354,6 +356,82 @@ class TestWeightedPathOracle:
         legs = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
         assert all(leg in lengths for leg in legs)
         assert (sum(lengths[leg] for leg in legs), len(legs)) == oracle[dst]
+
+
+def early_exit_path(graph, src, dst):
+    """Reference: the Dijkstra that stops when it pops dst, as
+    ``weighted_path`` ran before it walked ``weighted_tree``."""
+    if src == dst:
+        return [src]
+    best = {src: (0, 0)}
+    parent = {src: src}
+    heap = [(0, 0, src)]
+    while heap:
+        cost, hops, n = heapq.heappop(heap)
+        if n == dst:
+            path = [dst]
+            while path[-1] != src:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        if (cost, hops) > best.get(n, (cost, hops)):
+            continue
+        for m in graph._adj[n]:
+            key = (n, m) if n < m else (m, n)
+            cand = (cost + len(graph.edges[key].actions), hops + 1)
+            if m not in best or cand < best[m]:
+                best[m] = cand
+                parent[m] = n
+                heapq.heappush(heap, (cand[0], cand[1], m))
+    return []
+
+
+@st.composite
+def tied_graphs(draw):
+    """Up to 10 nodes, each pair joined with probability about 1/3 by an
+    edge of length 1 or 2 (many equal-cost routes), often in several
+    disconnected parts."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ws = draw(st.lists(st.sampled_from([None, None, None, None, 1, 2]),
+                       min_size=len(pairs), max_size=len(pairs)))
+    return n, {p: w for p, w in zip(pairs, ws) if w is not None}
+
+
+COMMITTED_GRAPH = os.path.join(os.path.dirname(__file__), "..", "benchmark",
+                               "inputs", "graph.dgm")
+
+
+class TestWeightedTree:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_graphs())
+    def test_walk_equals_early_exit_search(self, case):
+        n, lengths = case
+        graph = graph_with_edges(n, lengths)
+        for src in range(n):
+            tree = graph.weighted_tree(src)
+            for dst in range(n):
+                want = early_exit_path(graph, src, dst)
+                assert tree_path(tree, dst) == want
+                assert graph.weighted_path(src, dst) == want
+
+    def test_committed_graph_all_pairs(self):
+        with open(COMMITTED_GRAPH) as fh:
+            text = fh.read()
+        graph = GraphMemory.restore(text)
+        ids = sorted(graph.nodes)
+        for src in ids:
+            tree = graph.weighted_tree(src)
+            for dst in ids:
+                assert tree_path(tree, dst) == early_exit_path(graph, src, dst)
+        assert len(ids) == 71  # 5,041 pairs
+        assert graph.snapshot() == text  # read-only
+
+    def test_tree_holds_exactly_the_reachable_nodes(self):
+        graph = graph_with_edges(5, {(0, 1): 2, (1, 2): 1, (3, 4): 1})
+        assert graph.weighted_tree(0) == {0: 0, 1: 0, 2: 1}
+        assert graph.weighted_path(0, 4) == []
+        with pytest.raises(UnknownNodeError):
+            graph.weighted_tree(9)
 
 
 class TestSnapshot:

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from dgmem import cli, config as cfgmod, learner, navigator
 from dgmem.encoder import PatchEncoder
-from dgmem.graph import GraphMemory, NoNodesError
-from dgmem.gridworld import AgentState
+from dgmem.graph import GraphMemory, NoNodesError, tree_path
+from dgmem.gridworld import (CARDINAL_ACTIONS, ORIENTATION_ACTIONS,
+                             AgentState, action_effect)
 from dgmem.nn import ActorCritic, softmax
 
 
@@ -235,12 +236,117 @@ class TestVectorisedMatchesReference:
                 == ref_advance_cursor(graph, want, feat, pose, radius))
         assert got.cursor == want.cursor
 
+    @given(scenes(), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_advance_cursor_on_one_query_with_two_radii(self, scene, other):
+        """The query keeps flags per radius; the second radius and a repeat
+        of the first read their own."""
+        graph, feat, pose, route, cursor, radius = scene
+        q = navigator._query(graph, feat, pose)
+        for r in (radius, other, radius):
+            got = navigator.NavPlan(route[-1], list(route), cursor=cursor)
+            want = navigator.NavPlan(route[-1], list(route), cursor=cursor)
+            assert (navigator._advance_cursor(graph, got, q, r)
+                    == ref_advance_cursor(graph, want, feat, pose, r))
+            assert got.cursor == want.cursor
+        assert set(q.satisfied) == {radius, other}
+
+    def test_radii_per_query_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(navigator, "RADII_PER_QUERY", 2)
+        g = toy_graph(3)
+        q = navigator._query(g, unit(128, 1), np.array([4.0, 0, 0]))
+        for r in (0.5, 1.0, 2.0, 3.0):
+            plan = navigator.NavPlan(goal_node=2, route=[0, 1, 2])
+            navigator._advance_cursor(g, plan, q, r)
+            assert plan.cursor == 2
+        assert set(q.satisfied) == {0.5, 1.0}
+
     @given(scenes())
     @settings(max_examples=300, deadline=None)
     def test_goal_fallback_by_cosine(self, scene):
         graph, feat, _, _, _, _ = scene
         got = navigator.localize_goal(graph, feat, np.array([np.nan, 0, 0]))
         assert got == ref_goal_by_cosine(graph, feat)
+
+
+def ref_select_action(probs, pose, variant, visits, blocked,
+                      revisit_penalty):
+    """``_select_action`` as it was before the neighbour table."""
+    actions = CARDINAL_ACTIONS if variant == "cardinal" else ORIENTATION_ACTIONS
+    heading = int(round(float(pose[2]))) % 4
+    moves = [action_effect(variant, a, heading)[:2] for a in actions]
+    if len(probs) > len(moves):
+        raise ValueError("too many probabilities")
+    cell = (round(float(pose[0]), 1), round(float(pose[1]), 1))
+    tried = blocked.get(cell, ())
+    best, best_score = 0, None
+    for action in range(len(probs)):
+        dx, dy = moves[action]
+        nxt = (round(cell[0] + dx, 1), round(cell[1] + dy, 1))
+        score = probs[action] - revisit_penalty * visits.get(nxt, 0)
+        if action in tried:
+            score -= 10.0
+        if best_score is None or score > best_score:
+            best, best_score = action, score
+    return best
+
+
+@st.composite
+def action_cases(draw):
+    """Probabilities (with ties), an integral or noisy pose, visit counts on
+    the cells around it and blocked moves from its cell."""
+    variant = draw(st.sampled_from(["cardinal", "orientation"]))
+    n = len(CARDINAL_ACTIONS if variant == "cardinal" else ORIENTATION_ACTIONS)
+    probs = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5]),
+                                    st.floats(0.0, 1.0)),
+                          min_size=1, max_size=n + 1))
+    if draw(st.booleans()):
+        pose = np.array([draw(st.integers(-5, 5)) for _ in range(3)], float)
+    else:
+        pose = np.array([draw(st.floats(-6.0, 6.0)) for _ in range(3)])
+    cell = (round(float(pose[0]), 1), round(float(pose[1]), 1))
+    near = [(round(cell[0] + dx, 1), round(cell[1] + dy, 1))
+            for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    visits = {c: draw(st.integers(0, 3)) for c in near if draw(st.booleans())}
+    blocked = {}
+    if draw(st.booleans()):
+        blocked[cell] = set(draw(st.lists(st.integers(0, n - 1))))
+    penalty = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    return probs, pose, variant, visits, blocked, penalty
+
+
+class TestSelectActionMatchesReference:
+    @given(action_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_with_and_without_table_and_cell(self, case):
+        probs, pose, variant, visits, blocked, penalty = case
+        args = (probs, pose, variant, visits, blocked, penalty)
+        try:
+            want = ref_select_action(*args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                navigator._select_action(*args)
+            with pytest.raises(ValueError):
+                navigator._select_action(*args, memo=navigator.Memo())
+            return
+        cell = navigator._pose_cell(pose)
+        memo = navigator.Memo()
+        assert navigator._select_action(*args) == want
+        assert navigator._select_action(*args, cell) == want
+        assert navigator._select_action(*args, memo=memo) == want  # miss
+        assert navigator._select_action(*args, cell, memo) == want  # hit
+        assert len(memo.neighbours) == 1
+
+    def test_neighbour_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(navigator, "NEIGHBOUR_ENTRIES", 3)
+        memo = navigator.Memo()
+        for x in range(6):
+            pose = np.array([x + 0.04, 1.0, 0.0])
+            assert navigator._select_action(
+                [0.3, 0.3, 0.2, 0.2], pose, "cardinal", {}, {}, 0.1,
+                memo=memo) == 0
+        assert list(memo.neighbours) == [((x + 0.0, 1.0), "cardinal", 0)
+                                         for x in range(3)]
 
 
 # -- the policy memo ------------------------------------------------------------
@@ -304,9 +410,19 @@ def fresh_query(key, graph, enc, patch_like):
 
 
 SMALL_BOUNDS = {"MEMO_ENTRIES": 64, "QUERY_ENTRIES": 16,
-                "DRIFT_ENTRIES": 32, "ROUTE_ENTRIES": 8}
+                "DRIFT_ENTRIES": 32, "ROUTE_ENTRIES": 8,
+                "NEIGHBOUR_ENTRIES": 16, "RADII_PER_QUERY": 1}
 TABLES = {"policy": "MEMO_ENTRIES", "query": "QUERY_ENTRIES",
-          "drift": "DRIFT_ENTRIES", "route": "ROUTE_ENTRIES"}
+          "drift": "DRIFT_ENTRIES", "route": "ROUTE_ENTRIES",
+          "neighbours": "NEIGHBOUR_ENTRIES"}
+
+
+def fresh_neighbours(key):
+    """The predicted next cells a neighbour-table key stands for."""
+    (x, y), variant, heading = key
+    actions = CARDINAL_ACTIONS if variant == "cardinal" else ORIENTATION_ACTIONS
+    return tuple((round(x + dx, 1), round(y + dy, 1)) for dx, dy, _ in
+                 (action_effect(variant, a, heading) for a in actions))
 
 
 class TestPolicyMemo:
@@ -322,8 +438,9 @@ class TestPolicyMemo:
         """One memo shared by every episode gives the results of a fresh
         memo per episode and of a memo that keeps nothing, and each of its
         entries equals a fresh computation: softmax(forward(x)) for a policy key's x, the graph
-        query, the drift offset and the weighted route. Every table stays
-        within its bound."""
+        query and its subgoal flags, the drift offset, the weighted route
+        to every destination and the predicted next cells. Every table
+        stays within its bound."""
         cfg, graph, net, enc = trained
         env = cli.build_env(cfg, noise=noise)
         cells = env.grid.free_cells()
@@ -341,8 +458,9 @@ class TestPolicyMemo:
                                 navigator.Memo)
             limits = {table: getattr(navigator, name)
                       for table, name in TABLES.items()}
-            for name in TABLES.values():  # nothing kept: every answer fresh
-                mp.setattr(navigator, name, 0)
+            radii = navigator.RADII_PER_QUERY
+            for name in [*TABLES.values(), "RADII_PER_QUERY"]:
+                mp.setattr(navigator, name, 0)  # nothing kept: all fresh
             uncached = run_episodes(env, graph, net, enc, pairs, seed,
                                     navigator.Memo)
         assert [outcome(r) for r in got] == [outcome(r) for r in want]
@@ -359,13 +477,21 @@ class TestPolicyMemo:
             for column in ("combined", "d_vis", "planar"):
                 assert np.array_equal(getattr(q, column),
                                       getattr(fresh, column))
+            assert len(q.satisfied) <= radii
+            for radius, flags in q.satisfied.items():
+                assert flags == [bool(c < graph.d_locate or p < radius)
+                                 for c, p in zip(fresh.combined,
+                                                 fresh.planar)]
         for (key, radius), offset in shared.drift.items():
             q, pose = fresh_query(key, graph, enc, patch_like)
             fresh = navigator._drift_correction(graph, q, pose, radius=radius)
             assert (offset is None) == (fresh is None)
             assert offset is None or np.array_equal(offset, fresh)
-        for (src, dst), route in shared.route.items():
-            assert list(route) == graph.weighted_path(src, dst)
+        for src, tree in shared.route.items():
+            for dst in graph.nodes:
+                assert tree_path(tree, dst) == graph.weighted_path(src, dst)
+        for key, nbrs in shared.neighbours.items():
+            assert nbrs == fresh_neighbours(key)
 
     def test_memo_is_reused_across_episodes(self, trained):
         cfg, graph, net, enc = trained
@@ -376,6 +502,31 @@ class TestPolicyMemo:
         first = run_episodes(env, graph, net, enc, pairs[:1], 0, lambda: memo)
         sizes = {table: len(getattr(memo, table)) for table in TABLES}
         again = run_episodes(env, graph, net, enc, pairs, 0, lambda: memo)
-        assert all(sizes[t] > 0 for t in ("policy", "query", "route"))
+        assert all(sizes[t] > 0 for t in ("policy", "query", "route",
+                                          "neighbours"))
         assert sizes == {table: len(getattr(memo, table)) for table in TABLES}
         assert all(outcome(r) == outcome(first[0]) for r in again)
+
+    @pytest.mark.parametrize("bounds", [None, {"ROUTE_ENTRIES": 3,
+                                               "NEIGHBOUR_ENTRIES": 50}],
+                             ids=["module", "small"])
+    def test_tables_respect_bounds_under_noise(self, trained, bounds,
+                                               monkeypatch):
+        """At eval.noise 0.3 every table stays within its bound (the small
+        route and neighbour bounds fill), the route table holds at most one
+        tree per graph node, and ``run_eval`` reports the entry counts."""
+        cfg, graph, net, enc = trained
+        cfg = dict(cfg, **{"eval.noise": 0.3, "eval.episodes": 30,
+                           "eval.max_steps": 60})
+        for name, bound in (bounds or {}).items():
+            monkeypatch.setattr(navigator, name, bound)
+        report = cli.run_eval(cli.build_env(cfg, noise=0.3), graph, net, enc,
+                              cfg, np.random.default_rng(0))
+        sizes = report.memo_entries
+        assert set(sizes) == set(TABLES)
+        for table, name in TABLES.items():
+            assert sizes[table] <= getattr(navigator, name), table
+        assert 0 < sizes["route"] <= len(graph)
+        if bounds:
+            assert sizes["route"] == 3
+            assert sizes["neighbours"] == 50

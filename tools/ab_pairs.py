@@ -12,7 +12,10 @@ are printed with its pair and summarised per side; they explain a timing and
 are neither gated nor claimable.
 With ``--out FILE`` the summary is also recorded in FILE, together with every
 pair's row, the workload, seeds, ``--seconds``, each checkout's git commit,
-the BLAS thread count the runs reported and the NumPy version. FILE holds
+the BLAS thread count the runs reported, the NumPy version and whether
+``PYTHONDONTWRITEBYTECODE`` is set (then no ``__pycache__`` is written and
+every run's ``setup_s`` includes compiling each module from source, so it
+grows with the source size; printed once at the start). FILE holds
 ``{"runs": [record, ...]}``; each invocation appends its record.
 Pairs are always timed untraced. With ``--trace 1``, one traced run per
 checkout follows on the first seed (``--seconds 0``); the record's
@@ -174,6 +177,10 @@ def main(argv=None) -> int:
     counts = [m["name"] for m in spec.get("per_layer", ())
               if m["unit"] == "count"]
 
+    no_bytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    print(f"PYTHONDONTWRITEBYTECODE {'set' if no_bytecode else 'not set'}"
+          + (": setup_s includes compiling every module" if no_bytecode
+             else ""), flush=True)
     pairs = []
     blas_threads = set()
     for n, seed in enumerate(args.seeds):
@@ -227,6 +234,7 @@ def main(argv=None) -> int:
             "change_commit": git_commit(args.change),
             "blas_threads": sorted(blas_threads),
             "numpy": importlib.metadata.version("numpy"),
+            "pythondontwritebytecode": no_bytecode,
             "rows": pairs, "summary": summary,
         }
         if layers is not None:
