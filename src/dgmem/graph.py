@@ -322,7 +322,8 @@ class GraphMemory:
                 queue.append(m)
         return []
 
-    def weighted_tree(self, src: int) -> Dict[int, int]:
+    def weighted_tree(self, src: int,
+                      stop: Optional[int] = None) -> Dict[int, int]:
         """Minimum total stored-trajectory-length tree from src (Dijkstra).
 
         Maps every node reachable from src to its parent on its cheapest
@@ -332,7 +333,9 @@ class GraphMemory:
         execute reliably. Ties break toward fewer hops, then lowest node ids.
         (cost, hops) grows along every edge, so a node's parent is final once
         it is settled: the walk up the tree to any node equals a search that
-        stops at that node.
+        stops at that node. With ``stop`` the search ends once that node is
+        settled; only the walk up from it is then final. A full tree costs
+        about twice an early stop at an average node.
         """
         self._check_id(src)
         best = {src: (0, 0)}  # node -> (cost, hops)
@@ -342,6 +345,8 @@ class GraphMemory:
             cost, hops, n = heapq.heappop(heap)
             if (cost, hops) > best[n]:
                 continue
+            if n == stop:
+                break
             for m in self._adj[n]:
                 key = (n, m) if n < m else (m, n)
                 cand = (cost + len(self.edges[key].actions), hops + 1)
@@ -353,11 +358,12 @@ class GraphMemory:
 
     def weighted_path(self, src: int, dst: int) -> List[int]:
         """Minimum total stored-trajectory-length path: the walk from dst up
-        ``weighted_tree(src)``. Empty list when dst is unreachable from src.
+        ``weighted_tree(src, stop=dst)``. Empty list when dst is unreachable
+        from src.
         """
         self._check_id(src)
         self._check_id(dst)
-        return tree_path(self.weighted_tree(src), dst)
+        return tree_path(self.weighted_tree(src, stop=dst), dst)
 
     def distances_from(self, src: int) -> Dict[int, int]:
         """BFS hop counts from src to every reachable node."""

@@ -422,7 +422,9 @@ class TestWeightedTree:
         for src in ids:
             tree = graph.weighted_tree(src)
             for dst in ids:
-                assert tree_path(tree, dst) == early_exit_path(graph, src, dst)
+                want = early_exit_path(graph, src, dst)
+                assert tree_path(tree, dst) == want
+                assert graph.weighted_path(src, dst) == want
         assert len(ids) == 71  # 5,041 pairs
         assert graph.snapshot() == text  # read-only
 

@@ -239,8 +239,8 @@ class TestVectorisedMatchesReference:
     @given(scenes(), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     @settings(max_examples=300, deadline=None)
     def test_advance_cursor_on_one_query_with_two_radii(self, scene, other):
-        """The query keeps flags per radius; the second radius and a repeat
-        of the first read their own."""
+        """The query keeps the flags of the radius it last served; a second
+        radius and a return to the first recompute them."""
         graph, feat, pose, route, cursor, radius = scene
         q = navigator._query(graph, feat, pose)
         for r in (radius, other, radius):
@@ -249,17 +249,7 @@ class TestVectorisedMatchesReference:
             assert (navigator._advance_cursor(graph, got, q, r)
                     == ref_advance_cursor(graph, want, feat, pose, r))
             assert got.cursor == want.cursor
-        assert set(q.satisfied) == {radius, other}
-
-    def test_radii_per_query_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(navigator, "RADII_PER_QUERY", 2)
-        g = toy_graph(3)
-        q = navigator._query(g, unit(128, 1), np.array([4.0, 0, 0]))
-        for r in (0.5, 1.0, 2.0, 3.0):
-            plan = navigator.NavPlan(goal_node=2, route=[0, 1, 2])
-            navigator._advance_cursor(g, plan, q, r)
-            assert plan.cursor == 2
-        assert set(q.satisfied) == {0.5, 1.0}
+        assert q.radius == radius
 
     @given(scenes())
     @settings(max_examples=300, deadline=None)
@@ -318,23 +308,19 @@ def action_cases(draw):
 class TestSelectActionMatchesReference:
     @given(action_cases())
     @settings(max_examples=400, deadline=None)
-    def test_with_and_without_table_and_cell(self, case):
+    def test_table_miss_and_hit(self, case):
         probs, pose, variant, visits, blocked, penalty = case
-        args = (probs, pose, variant, visits, blocked, penalty)
+        args = (probs, pose, variant, visits, blocked, penalty,
+                navigator._pose_cell(pose))
+        memo = navigator.Memo()
         try:
-            want = ref_select_action(*args)
+            want = ref_select_action(*args[:-1])
         except ValueError:
             with pytest.raises(ValueError):
-                navigator._select_action(*args)
-            with pytest.raises(ValueError):
-                navigator._select_action(*args, memo=navigator.Memo())
+                navigator._select_action(*args, memo)
             return
-        cell = navigator._pose_cell(pose)
-        memo = navigator.Memo()
-        assert navigator._select_action(*args) == want
-        assert navigator._select_action(*args, cell) == want
-        assert navigator._select_action(*args, memo=memo) == want  # miss
-        assert navigator._select_action(*args, cell, memo) == want  # hit
+        assert navigator._select_action(*args, memo) == want  # miss
+        assert navigator._select_action(*args, memo) == want  # hit
         assert len(memo.neighbours) == 1
 
     def test_neighbour_table_is_bounded(self, monkeypatch):
@@ -344,7 +330,7 @@ class TestSelectActionMatchesReference:
             pose = np.array([x + 0.04, 1.0, 0.0])
             assert navigator._select_action(
                 [0.3, 0.3, 0.2, 0.2], pose, "cardinal", {}, {}, 0.1,
-                memo=memo) == 0
+                navigator._pose_cell(pose), memo) == 0
         assert list(memo.neighbours) == [((x + 0.0, 1.0), "cardinal", 0)
                                          for x in range(3)]
 
@@ -411,7 +397,7 @@ def fresh_query(key, graph, enc, patch_like):
 
 SMALL_BOUNDS = {"MEMO_ENTRIES": 64, "QUERY_ENTRIES": 16,
                 "DRIFT_ENTRIES": 32, "ROUTE_ENTRIES": 8,
-                "NEIGHBOUR_ENTRIES": 16, "RADII_PER_QUERY": 1}
+                "NEIGHBOUR_ENTRIES": 16}
 TABLES = {"policy": "MEMO_ENTRIES", "query": "QUERY_ENTRIES",
           "drift": "DRIFT_ENTRIES", "route": "ROUTE_ENTRIES",
           "neighbours": "NEIGHBOUR_ENTRIES"}
@@ -458,8 +444,7 @@ class TestPolicyMemo:
                                 navigator.Memo)
             limits = {table: getattr(navigator, name)
                       for table, name in TABLES.items()}
-            radii = navigator.RADII_PER_QUERY
-            for name in [*TABLES.values(), "RADII_PER_QUERY"]:
+            for name in TABLES.values():
                 mp.setattr(navigator, name, 0)  # nothing kept: all fresh
             uncached = run_episodes(env, graph, net, enc, pairs, seed,
                                     navigator.Memo)
@@ -477,11 +462,10 @@ class TestPolicyMemo:
             for column in ("combined", "d_vis", "planar"):
                 assert np.array_equal(getattr(q, column),
                                       getattr(fresh, column))
-            assert len(q.satisfied) <= radii
-            for radius, flags in q.satisfied.items():
-                assert flags == [bool(c < graph.d_locate or p < radius)
-                                 for c, p in zip(fresh.combined,
-                                                 fresh.planar)]
+            if q.radius is not None:  # served by _advance_cursor
+                assert q.satisfied == [
+                    bool(c < graph.d_locate or p < q.radius)
+                    for c, p in zip(fresh.combined, fresh.planar)]
         for (key, radius), offset in shared.drift.items():
             q, pose = fresh_query(key, graph, enc, patch_like)
             fresh = navigator._drift_correction(graph, q, pose, radius=radius)
