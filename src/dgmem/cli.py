@@ -139,8 +139,10 @@ def cmd_train(args) -> int:
 
         result = learner.training_loop(env, graph, enc, cfg, net=net,
                                        state=state, log_writer=writer)
-        for stats in result.update_stats:
-            log_fh.write(json.dumps({"kind": "update", **stats}) + "\n")
+        for stats, seconds in zip(result.update_stats,
+                                  result.update_seconds):
+            log_fh.write(json.dumps({"kind": "update", **stats, **seconds})
+                         + "\n")
 
     learner.save_checkpoint(os.path.join(args.out, "checkpoint_final.ckpt"),
                             result.net)

@@ -85,8 +85,13 @@ def _check(cfg: Dict[str, Any]) -> None:
     for key, value in cfg.items():
         if isinstance(value, float) and value != value:
             raise ConfigError(f"non-finite value for {key}")
-    if cfg["learner.nsteps"] <= 0 or cfg["learner.horizon"] <= 0:
-        raise ConfigError("nsteps and horizon must be positive")
+    for key in ("learner.nsteps", "learner.horizon", "learner.epochs",
+                "learner.minibatches", "learner.il_steps", "learner.il_edges",
+                "graph.prune_every"):
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} must be a positive integer, "
+                              f"got {value!r}")
     if cfg["sampler.temperature"] <= 0:
         raise ConfigError("sampler.temperature must be positive")
     for key in ("env.noise", "eval.noise", "eval.max_steps",

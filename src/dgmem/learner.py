@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -109,10 +110,17 @@ def ppo_loss_grads(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
                    ) -> Tuple[float, Dict[str, np.ndarray], dict]:
     """Clipped-surrogate loss value, parameter gradients, and diagnostics.
 
-    ``distinct`` is ``distinct_rows(x)``, passed on to ``net.forward``.
+    The loss is a mean over all n rows, but the network sees each distinct
+    input once: ``distinct`` is ``distinct_rows(x)`` (found here when None).
+    The forward runs on ``x[rows]`` and its logits and values are gathered
+    back to every row; before the backward, each row's head gradients are
+    summed onto its distinct input, so the gradients are the every-row ones
+    up to summation order.
     """
     n = len(actions)
-    logits, values, cache = net.forward(x, distinct)
+    rows, inverse = distinct_rows(x) if distinct is None else distinct
+    logits, values, cache = net.forward(x[rows])
+    logits, values = logits[inverse], values[inverse]
     lp_all = log_probs(logits)
     probs = softmax(logits)
     idx = np.arange(n)
@@ -135,8 +143,11 @@ def ppo_loss_grads(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
     onehot[idx, actions] = 1.0
     dlogits = dlogp[:, None] * (onehot - probs)
     dlogits += (ent_coef / n) * probs * (lp_all + entropy[:, None])
-    dvalues = vf_coef * v_err / n
-    grads = net.backward(cache, dlogits, dvalues)
+    row_dlogits = np.zeros((len(rows), net.n_actions))
+    np.add.at(row_dlogits, inverse, dlogits)
+    row_dvalues = np.bincount(inverse, weights=vf_coef * v_err / n,
+                              minlength=len(rows))
+    grads = net.backward(cache, row_dlogits, row_dvalues)
     stats = {
         "policy_loss": float(pol_loss),
         "value_loss": float(v_loss),
@@ -160,7 +171,7 @@ def ppo_update(net: ActorCritic, opt: Adam, x: np.ndarray, actions: np.ndarray,
     backup = net.copy_params()
     n = len(actions)
     splits = []
-    for sl in np.array_split(np.arange(n), max(minibatches, 1)):
+    for sl in np.array_split(np.arange(n), minibatches):
         xs = x[sl]
         splits.append((sl, xs, distinct_rows(xs)))
     distinct = sum(len(rows) for _, _, (rows, _) in splits)
@@ -192,32 +203,36 @@ def il_update(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
 
     Gradient steps are plain SGD with the step size divided by (1 + beta) so
     the update magnitude is invariant to the penalty weight; as beta grows the
-    update vanishes and the policy stays at its phase-start value. The
-    batch's distinct inputs are found once and reused by every step.
+    update vanishes and the policy stays at its phase-start value. Both
+    losses are means over all n rows, but every step runs the network on the
+    batch's d distinct inputs only: ``counts`` (d x A) holds each distinct
+    input's demonstrated actions and ``weight`` their number, so a row's
+    terms enter once per demonstration.
     """
     if len(actions) == 0:
         return {"ce": 0.0, "kl": 0.0, "n": 0, "distinct": 0}
     n = len(actions)
-    idx = np.arange(n)
-    onehot = np.zeros((n, net.n_actions))
-    onehot[idx, np.asarray(actions, int)] = 1.0
-    distinct = distinct_rows(x)
+    rows, inverse = distinct_rows(x)
+    xd = x[rows]
+    counts = np.zeros((len(rows), net.n_actions))
+    np.add.at(counts, (inverse, np.asarray(actions, int)), 1.0)
+    weight = counts.sum(axis=1, keepdims=True)
     old_probs = None
     ce = kl = 0.0
-    for k in range(max(steps, 1)):
-        logits, _, cache = net.forward(x, distinct)
+    for _ in range(steps):
+        logits, _, cache = net.forward(xd)
         probs = softmax(logits)
         lp = log_probs(logits)
         if old_probs is None:
-            old_probs = probs.copy()
-            old_lp = lp.copy()
-        ce = float(-(onehot * lp).sum(axis=1).mean())
-        kl = float((old_probs * (old_lp - lp)).sum(axis=1).mean())
-        dlogits = ((probs - onehot) + beta * (probs - old_probs)) / (n * (1.0 + beta))
-        grads = net.backward(cache, dlogits, np.zeros(len(x)))
+            old_probs, old_lp = probs, lp
+        ce = float(-(counts * lp).sum() / n)
+        kl = float((weight * old_probs * (old_lp - lp)).sum() / n)
+        dlogits = (weight * probs - counts
+                   + beta * weight * (probs - old_probs)) / (n * (1.0 + beta))
+        grads = net.backward(cache, dlogits, np.zeros(len(rows)))
         for key, g in grads.items():
             net.params[key] -= np.multiply(g, lr, out=g)
-    return {"ce": ce, "kl": kl, "n": n, "distinct": len(distinct[0])}
+    return {"ce": ce, "kl": kl, "n": n, "distinct": len(rows)}
 
 
 def build_il_batch(graph: GraphMemory, n_edges: int,
@@ -319,6 +334,9 @@ class TrainResult:
     visit_hist: Dict[Tuple[int, int], int] = field(default_factory=dict)
     best_success_rate: float = 0.0
     update_stats: List[dict] = field(default_factory=list)
+    # per update, wall seconds of its phases (rollout_s, ppo_s, il_s): kept
+    # apart so that same-seed runs compare update_stats exactly
+    update_seconds: List[dict] = field(default_factory=list)
 
 
 def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
@@ -379,6 +397,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     dist_version = -1
     recent = deque(maxlen=50)
     rollout = Rollout()
+    rollout_start = time.perf_counter()
 
     for step in range(1, total + 1):
         if len(graph) == 0:
@@ -451,6 +470,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                 graph.break_trajectory()
 
         if len(rollout) >= nsteps:
+            ppo_start = time.perf_counter()
             if terminal or goal_id is None:
                 last_value = 0.0
             else:
@@ -470,12 +490,18 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                 minibatches=int(cfg["learner.minibatches"]),
                 vf_coef=float(cfg["learner.vf_coef"]),
                 ent_coef=float(cfg["learner.ent_coef"]))
+            il_start = time.perf_counter()
             il_x, il_a = build_il_batch(
                 graph, int(cfg["learner.il_edges"]), il_rng)
             il_stats = il_update(net, il_x, il_a,
                                  float(cfg["learner.il_lr"]),
                                  beta=float(cfg["learner.beta"]),
                                  steps=int(cfg["learner.il_steps"]))
+            il_end = time.perf_counter()
+            result.update_seconds.append({
+                "rollout_s": ppo_start - rollout_start,
+                "ppo_s": il_start - ppo_start, "il_s": il_end - il_start})
+            rollout_start = il_end
             stats["il"] = il_stats
             stats["ppo_distinct"] = stats.pop("distinct")
             stats["policy_forwards"] = policy_forwards

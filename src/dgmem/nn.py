@@ -10,14 +10,13 @@ tanh stack with a linear output, used by the intrinsic-reward baselines.
 Gradients are checked against finite differences in the test suite;
 optimization is a from-scratch Adam.
 
-Training batches repeat inputs, so ``ActorCritic.forward`` can run the trunk
-on a batch's distinct rows only (``distinct_rows``) and gather the
-activations back; the heads and the backward always see every row. A
-backward allocates nothing large: its temporaries and the weight gradients
-it returns are views of the network's ``Workspace``, valid only until the
-next backward through that network. ``Adam.step`` updates its moments and
-the parameters in place. Every one of these paths is bit-identical to the
-plain expressions it replaces.
+Training batches repeat inputs; ``distinct_rows`` finds a batch's distinct
+rows, and the training losses (``learner``) run the network on those only.
+The network itself sees whatever rows it is given. A backward allocates
+nothing large: its temporaries and the weight gradients it returns are views
+of the network's ``Workspace``, valid only until the next backward through
+that network. ``Adam.step`` updates its moments and the parameters in place,
+with the operations of its plain formula in the same order.
 """
 from __future__ import annotations
 
@@ -114,11 +113,6 @@ def distinct_rows(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rows, inverse.reshape(-1)
 
 
-# OpenBLAS computes a GEMM with M*N*K at most this through its small-matrix
-# kernel, which rounds differently from the blocked kernel a full batch uses.
-SMALL_GEMM = 100 ** 3
-
-
 class ActorCritic:
     """Goal-conditioned policy and value network."""
 
@@ -135,9 +129,6 @@ class ActorCritic:
                                                  self.n_actions, self.hidden):
             init_dense(rng, self.params, name, fan_in, fan_out)
         self.workspace = Workspace()
-        # up to this many distinct rows, a trunk GEMM is a small-matrix one
-        self._small_rows = SMALL_GEMM // min(
-            self.params[f"{name}.w"].size for name in self.TRUNK)
 
     @staticmethod
     def layers(input_dim: int, n_actions: int,
@@ -148,29 +139,14 @@ class ActorCritic:
         return [("fc1", input_dim, h1), ("fc2", h1, h2),
                 ("actor", h2, n_actions), ("critic", h2, 1)]
 
-    def forward(self, x: np.ndarray,
-                distinct: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                ) -> Tuple[np.ndarray, np.ndarray, dict]:
-        """(logits, values, cache) for a batch of inputs, shape (n, input_dim).
-
-        ``distinct`` is ``distinct_rows(x)``: the trunk then runs on x's
-        distinct rows only and its activations are gathered back to all n
-        rows. It does so only where that rounds as the full batch does: with
-        fewer distinct rows than n, and enough of them that no trunk GEMM is
-        a small-matrix one. The heads (the critic's is a GEMV) always run on
-        all n rows, so the outputs are bit-identical either way.
-        """
+    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
+        """(logits, values, cache) for a batch of inputs, shape (n,
+        input_dim)."""
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
         p = self.params
-        small = self._small_rows
-        if distinct is not None and len(x) > len(distinct[0]) > small:
-            rows, inverse = distinct
-            acts = [x] + [a[inverse] for a in
-                          tanh_forward(p, self.TRUNK, x[rows])[1:]]
-        else:
-            acts = tanh_forward(p, self.TRUNK, x)
+        acts = tanh_forward(p, self.TRUNK, x)
         h2 = acts[-1]
         logits = h2 @ p["actor.w"] + p["actor.b"]
         values = (h2 @ p["critic.w"] + p["critic.b"])[:, 0]

@@ -95,6 +95,7 @@ def test_out_file_records_settings_rows_and_summary(tmp_path, monkeypatch):
     assert [r["seed"] for r in rows] == [0, 1, 2, 3]
     assert [r["first"] for r in rows] == ["parent", "change"] * 2
     assert [r["outputs_equal"] for r in rows] == [True, True, False, True]
+    assert [r["outputs_differ"] for r in rows] == [[], [], ["sha"], []]
     assert rows[1]["change"]["steps_per_s"] == 111.0
     summary = first["summary"]
     assert summary["pairs"] == 4 and summary["outputs_equal"] == 3
@@ -108,6 +109,45 @@ def test_out_file_records_settings_rows_and_summary(tmp_path, monkeypatch):
         "parent_median": 1505.0, "parent_quartiles": [755.0, 2255.0],
         "change_median": 1501.0, "change_quartiles": [751.0, 2251.0]}
     assert "minor_faults" not in summary["metrics"]
+
+
+def test_names_the_output_keys_that_differ(tmp_path, monkeypatch, capsys):
+    """Each pair prints and records which round outputs differ, a key that
+    only one side reports included."""
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
+
+    def run(checkout, workload, seed, seconds, trace):
+        result, detail = fake_run(checkout, workload, seed, seconds, trace)
+        outputs = {"nodes": 68, "params_sha256": "p",
+                   "best_params_sha256": "b"}
+        if checkout.endswith("change") and seed > 0:
+            outputs.update(params_sha256="P", best_params_sha256="B")
+        if checkout.endswith("change") and seed > 1:
+            outputs["extra"] = 1
+        return result, {**detail, "round_outputs": outputs}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main([str(dirs["parent"]), str(dirs["change"]),
+                          "--workload", "train", "--seeds", "0-2",
+                          "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("pair ")]
+    assert "outputs equal" in lines[0]
+    assert "outputs DIFFER (best_params_sha256, params_sha256)" in lines[1]
+    assert ("outputs DIFFER (best_params_sha256, extra, params_sha256)"
+            in lines[2])
+    (record,) = json.loads(out.read_text())["runs"]
+    assert [r["outputs_differ"] for r in record["rows"]] == [
+        [], ["best_params_sha256", "params_sha256"],
+        ["best_params_sha256", "extra", "params_sha256"]]
+    assert [r["outputs_equal"] for r in record["rows"]] == [True, False, False]
+    assert record["summary"]["outputs_equal"] == 1
 
 
 @pytest.mark.parametrize("value, recorded", [(None, False), ("", False),

@@ -256,7 +256,8 @@ class TestCliCommands:
         assert len(calls) >= 2 and len(updates) == len(calls)
         keys = {"kind", "step", "policy_loss", "value_loss", "entropy",
                 "approx_kl", "clip_frac", "il", "policy_forwards",
-                "ppo_distinct", "nodes", "edges"}
+                "ppo_distinct", "nodes", "edges", "rollout_s", "ppo_s",
+                "il_s"}
         for rec in updates:
             assert keys <= set(rec) <= keys | {"nan_abort"}
             assert set(rec["il"]) == {"ce", "kl", "n", "distinct"}
@@ -267,6 +268,9 @@ class TestCliCommands:
             assert 0 <= rec["il"]["distinct"] <= rec["il"]["n"]
             assert (rec["il"]["distinct"] > 0) == (rec["il"]["n"] > 0)
             assert rec["nodes"] > 0 and rec["edges"] >= 0
+            # wall seconds of the update's phases
+            assert rec["rollout_s"] > 0 and rec["ppo_s"] > 0
+            assert rec["il_s"] > 0
         steps = [r["step"] for r in updates]
         assert steps == sorted(steps) and steps[-1] <= 800
         # the graph at each update: nodes are never removed
@@ -312,6 +316,27 @@ class TestCliCommands:
         assert cli.main(argv) == 2
         assert (f"config error: {key} must be a non-negative number"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, value", [
+        ("learner.nsteps", "abc"), ("learner.horizon", "0"),
+        ("learner.epochs", "-1"), ("learner.minibatches", "0"),
+        ("learner.il_steps", "-3"), ("learner.il_edges", "0"),
+        ("graph.prune_every", "0"), ("learner.epochs", "true"),
+        ("learner.nsteps", "2.5")])
+    def test_non_positive_count_fails_cleanly(self, tmp_path, capsys, key,
+                                              value):
+        """A count that is not a positive integer exits 2 before training:
+        before, a zero ``il_edges`` or ``prune_every`` crashed mid-run, a
+        text ``nsteps`` raised TypeError, and a zero or negative
+        ``epochs``, ``il_steps`` or ``minibatches`` ran without error."""
+        out = tmp_path / "run"
+        code = cli.main(["train", "--out", str(out), "--steps", "600",
+                         "--config",
+                         self.bad_config(tmp_path, f"{key}: {value}\n")])
+        assert code == 2
+        assert (f"config error: {key} must be a positive integer"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_negative_noise_flag_fails_cleanly(self, tmp_path, capsys):
         code = cli.main(["train", "--out", str(tmp_path / "run"),

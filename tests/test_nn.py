@@ -215,36 +215,6 @@ class TestDistinctRows:
         rows, inverse = distinct_rows(x)
         assert len(rows) == 2 and x[rows][inverse].tobytes() == x.tobytes()
 
-    def test_forward_over_distinct_rows_is_byte_equal(self, rng, duplicate_heavy):
-        """At the default sizes (259 -> 512 -> 256), 1 to 40 distinct rows
-        in batches of 8 to 409 give the full batch's bytes: fewer than 8
-        distinct rows run the full batch, more run only the distinct ones."""
-        net = ActorCritic(259, 4, seed=1)
-        for k in range(1, 41):
-            for n in sorted({max(k, 8), 64, 256, 409}):
-                x = duplicate_heavy(rng, k, n)
-                logits, values, cache = net.forward(x)
-                dlogits, dvalues, dcache = net.forward(x, distinct_rows(x))
-                assert dlogits.tobytes() == logits.tobytes(), (k, n)
-                assert dvalues.tobytes() == values.tobytes(), (k, n)
-                assert len(dcache["acts"]) == len(cache["acts"]) == 3
-                for got, want in zip(dcache["acts"], cache["acts"]):
-                    assert got.tobytes() == want.tobytes(), (k, n)
-
-    def test_few_distinct_rows_run_the_full_batch(self, rng, monkeypatch,
-                                                duplicate_heavy):
-        from dgmem import nn
-        net = ActorCritic(259, 4, seed=1)
-        seen = []
-        real = nn.tanh_forward
-        monkeypatch.setattr(nn, "tanh_forward",
-                            lambda p, names, x: seen.append(len(x))
-                            or real(p, names, x))
-        for k in (7, 8, 64):
-            x = duplicate_heavy(rng, k, 64)
-            net.forward(x, distinct_rows(x))
-        assert seen == [64, 8, 64]
-
 
 class TestWorkspace:
     def test_gradients_survive_a_forward(self, rng, duplicate_heavy):
@@ -254,9 +224,7 @@ class TestWorkspace:
         grads = net.backward(cache, rng.standard_normal(logits.shape),
                              rng.standard_normal(len(x)))
         kept = {k: g.copy() for k, g in grads.items()}
-        other = duplicate_heavy(rng, 30, 300)
-        net.forward(other, distinct_rows(other))
-        net.forward(other)
+        net.forward(duplicate_heavy(rng, 30, 300))
         for k in kept:
             assert grads[k].tobytes() == kept[k].tobytes(), k
 

@@ -3,16 +3,18 @@
 For each seed, runs ``benchmark/run.py`` once in each checkout, one process
 at a time, the parent first on even pairs and the change first on odd ones.
 Prints each pair's end-to-end metrics and whether the two runs' round
-outputs agree, then per metric the medians, quartiles and the change's wins
-(ties count for neither side), and whether a gain is claimable: the change
-wins at least nine tenths of the pairs and the medians differ by more than
-the parent's interquartile range. The last line is the summary as JSON.
+outputs agree, naming the output keys that differ, then per metric the
+medians, quartiles and the change's wins (ties count for neither side), and
+whether a gain is claimable: the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's interquartile range.
+The last line is the summary as JSON.
 Each run's minor page faults (the ``ru_minflt`` of the benchmark process)
 are printed with its pair and summarised per side; they explain a timing and
 are neither gated nor claimable.
 With ``--out FILE`` the summary is also recorded in FILE, together with every
-pair's row, the workload, seeds, ``--seconds``, each checkout's git commit,
-the BLAS thread count the runs reported, the NumPy version and whether
+pair's row (``outputs_differ`` lists its differing output keys), the
+workload, seeds, ``--seconds``, each checkout's git commit, the BLAS thread
+count the runs reported, the NumPy version and whether
 ``PYTHONDONTWRITEBYTECODE`` is set (then no ``__pycache__`` is written and
 every run's ``setup_s`` includes compiling each module from source, so it
 grows with the source size; printed once at the start). FILE holds
@@ -93,6 +95,14 @@ def fault_summary(pairs: List[dict]) -> dict:
         out[f"{side}_median"] = statistics.median(faults)
         out[f"{side}_quartiles"] = quartiles(faults)
     return out
+
+
+def differing_outputs(parent: dict, change: dict) -> List[str]:
+    """Sorted keys of two runs' round outputs whose values differ, a key
+    missing on one side included."""
+    missing = object()
+    return sorted(k for k in parent.keys() | change.keys()
+                  if parent.get(k, missing) != change.get(k, missing))
 
 
 def git_commit(checkout: str) -> Optional[str]:
@@ -189,8 +199,10 @@ def main(argv=None) -> int:
                                args.seconds, 0) for side in sides}
         pair = {side: {m: runs[side][0]["metrics"][m]["value"]
                        for m in better} for side in runs}
-        pair["outputs_equal"] = (runs["parent"][1]["round_outputs"]
-                                 == runs["change"][1]["round_outputs"])
+        pair["outputs_differ"] = differing_outputs(
+            runs["parent"][1]["round_outputs"],
+            runs["change"][1]["round_outputs"])
+        pair["outputs_equal"] = not pair["outputs_differ"]
         pair["correct"] = all(runs[s][0]["correct"] for s in runs)
         pair["minor_faults"] = {s: runs[s][0]["minor_faults"] for s in runs}
         pair["seed"], pair["first"] = seed, sides[0]
@@ -199,10 +211,11 @@ def main(argv=None) -> int:
         shown = "  ".join(f"{m} {pair['parent'][m]:.4g}/{pair['change'][m]:.4g}"
                           for m in better)
         faults = pair["minor_faults"]
+        outputs = ("equal" if pair["outputs_equal"] else
+                   f"DIFFER ({', '.join(pair['outputs_differ'])})")
         print(f"pair {n} seed {seed} ({sides[0]} first): {shown}  "
               f"minor_faults {faults['parent']}/{faults['change']}  "
-              f"outputs {'equal' if pair['outputs_equal'] else 'DIFFER'}  "
-              f"correct {pair['correct']}", flush=True)
+              f"outputs {outputs}  correct {pair['correct']}", flush=True)
 
     summary = summarize(pairs, better)
     summary["correct"] = sum(p["correct"] for p in pairs)
