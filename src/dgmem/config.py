@@ -92,6 +92,17 @@ def _check(cfg: Dict[str, Any]) -> None:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{key} must be a positive integer, "
                               f"got {value!r}")
+    if cfg["learner.minibatches"] > cfg["learner.nsteps"]:
+        # a PPO update splits its nsteps rows into minibatches; none may be
+        # empty
+        raise ConfigError("learner.minibatches must not exceed "
+                          f"learner.nsteps ({cfg['learner.nsteps']}), got "
+                          f"{cfg['learner.minibatches']}")
+    radius = cfg["reward.radius"]
+    if (isinstance(radius, bool) or not isinstance(radius, (int, float))
+            or not 0 < radius < float("inf")):
+        raise ConfigError("reward.radius must be a positive finite number, "
+                          f"got {radius!r}")
     if cfg["sampler.temperature"] <= 0:
         raise ConfigError("sampler.temperature must be positive")
     for key in ("env.noise", "eval.noise", "eval.max_steps",

@@ -207,31 +207,35 @@ def il_update(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
     losses are means over all n rows, but every step runs the network on the
     batch's d distinct inputs only: ``counts`` (d x A) holds each distinct
     input's demonstrated actions and ``weight`` their number, so a row's
-    terms enter once per demonstration.
+    terms enter once per demonstration. The steps run in
+    ``ActorCritic.sgd_on_fixed_inputs``, which folds ``fc1`` through the
+    inputs' Gram matrix and leaves the critic alone; this function supplies
+    the loss gradient at the logits and reports ``ce`` and ``kl`` at the
+    last step's parameters.
     """
     if len(actions) == 0:
         return {"ce": 0.0, "kl": 0.0, "n": 0, "distinct": 0}
     n = len(actions)
     rows, inverse = distinct_rows(x)
-    xd = x[rows]
     counts = np.zeros((len(rows), net.n_actions))
     np.add.at(counts, (inverse, np.asarray(actions, int)), 1.0)
     weight = counts.sum(axis=1, keepdims=True)
-    old_probs = None
+    old: List[np.ndarray] = []
     ce = kl = 0.0
-    for _ in range(steps):
-        logits, _, cache = net.forward(xd)
+
+    def head_grad(logits: np.ndarray) -> np.ndarray:
+        nonlocal ce, kl
         probs = softmax(logits)
         lp = log_probs(logits)
-        if old_probs is None:
-            old_probs, old_lp = probs, lp
+        if not old:
+            old.extend((probs, lp))
+        old_probs, old_lp = old
         ce = float(-(counts * lp).sum() / n)
         kl = float((weight * old_probs * (old_lp - lp)).sum() / n)
-        dlogits = (weight * probs - counts
-                   + beta * weight * (probs - old_probs)) / (n * (1.0 + beta))
-        grads = net.backward(cache, dlogits, np.zeros(len(rows)))
-        for key, g in grads.items():
-            net.params[key] -= np.multiply(g, lr, out=g)
+        return (weight * probs - counts
+                + beta * weight * (probs - old_probs)) / (n * (1.0 + beta))
+
+    net.sgd_on_fixed_inputs(x[rows], steps, lr, head_grad)
     return {"ce": ce, "kl": kl, "n": n, "distinct": len(rows)}
 
 
@@ -334,8 +338,8 @@ class TrainResult:
     visit_hist: Dict[Tuple[int, int], int] = field(default_factory=dict)
     best_success_rate: float = 0.0
     update_stats: List[dict] = field(default_factory=list)
-    # per update, wall seconds of its phases (rollout_s, ppo_s, il_s): kept
-    # apart so that same-seed runs compare update_stats exactly
+    # per update, wall seconds of its phases (rollout_s, prune_s, ppo_s,
+    # il_s): kept apart so that same-seed runs compare update_stats exactly
     update_seconds: List[dict] = field(default_factory=list)
 
 
@@ -398,6 +402,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     recent = deque(maxlen=50)
     rollout = Rollout()
     rollout_start = time.perf_counter()
+    prune_s = 0.0  # graph pruning since the previous update ended
 
     for step in range(1, total + 1):
         if len(graph) == 0:
@@ -499,9 +504,11 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                                  steps=int(cfg["learner.il_steps"]))
             il_end = time.perf_counter()
             result.update_seconds.append({
-                "rollout_s": ppo_start - rollout_start,
-                "ppo_s": il_start - ppo_start, "il_s": il_end - il_start})
+                "rollout_s": ppo_start - rollout_start - prune_s,
+                "prune_s": prune_s, "ppo_s": il_start - ppo_start,
+                "il_s": il_end - il_start})
             rollout_start = il_end
+            prune_s = 0.0
             stats["il"] = il_stats
             stats["ppo_distinct"] = stats.pop("distinct")
             stats["policy_forwards"] = policy_forwards
@@ -510,7 +517,9 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             result.update_stats.append(stats)
 
         if step % int(cfg["graph.prune_every"]) == 0:
+            prune_start = time.perf_counter()
             graph.prune_edges(int(cfg["graph.prune_min_count"]))
+            prune_s += time.perf_counter() - prune_start
             dist_version = -1
 
         _track(visit, state)

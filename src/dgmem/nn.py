@@ -17,10 +17,17 @@ nothing large: its temporaries and the weight gradients it returns are views
 of the network's ``Workspace``, valid only until the next backward through
 that network. ``Adam.step`` updates its moments and the parameters in place,
 with the operations of its plain formula in the same order.
+
+Imitation runs many plain-SGD steps on one fixed batch.
+``ActorCritic.sgd_on_fixed_inputs`` runs them without forming the first
+layer's input product or weight gradient at each step: with fixed inputs
+``x``, an SGD step of ``fc1`` moves its pre-activation by ``-lr * (x @ x.T +
+1) @ dz1``, so the steps move that pre-activation through the batch's Gram
+matrix and apply their summed ``fc1`` step once at the end.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,6 +179,76 @@ class ActorCritic:
         dh2 += dv
         return dense_backward(p, self.TRUNK, acts, tanh_backward(dh2, h2, dv),
                               grads, ws)
+
+    def sgd_on_fixed_inputs(self, x: np.ndarray, steps: int, lr: float,
+                            head_grad: Callable[[np.ndarray], np.ndarray]
+                            ) -> None:
+        """``steps`` plain-SGD steps ``p -= lr * grad`` of the actor head and
+        the trunk on the fixed inputs ``x`` (d, input_dim).
+
+        Each step calls ``head_grad(logits)`` for the loss gradient at the
+        logits. The critic is left alone: a loss of the logits has no
+        gradient there. ``fc1`` is folded through the Gram matrix of the
+        inputs. Its step ``W1 -= lr * x.T @ dz1``, ``b1 -= lr * dz1.sum(0)``
+        moves its pre-activation ``z1 = x @ W1 + b1`` by ``-lr * G @ dz1``,
+        with ``G = x @ x.T + 1``. So ``z1`` is formed once and moved by
+        ``G`` at every step, and ``fc1`` takes the summed step ``W1 -= lr *
+        x.T @ sum(dz1)``, ``b1 -= lr * sum(dz1).sum(0)`` after the last one.
+        In real arithmetic this equals a step-by-step update; only rounding
+        differs. Each step costs three d-row products instead of five, plus
+        ``G @ dz1`` in the cheaper matrix-chain order: as it stands (d*d
+        multiply-adds per hidden unit) while d < 2 * input_dim, else as ``x
+        @ (x.T @ dz1) + dz1.sum(0)`` (2*d*input_dim).
+
+        ``z1``, ``sum(dz1)`` and ``G`` live for the call. The per-step
+        temporaries are views of the workspace buffers a backward owns:
+        ``h1``, then its gate, then ``G @ dz1`` in ``fc2.gate``; ``h2`` and
+        its gate in ``dv``; ``dz2`` in ``dh2``; ``dz1`` in ``fc2.dx``; the
+        weight gradients in ``fc2.dw`` and ``fc1.dw``. Like a backward, a
+        call ends the validity of the gradients the last backward returned.
+        """
+        p, ws = self.params, self.workspace
+        d = len(x)
+        width1, width2 = self.hidden
+        z1 = x @ p["fc1.w"]
+        z1 += p["fc1.b"]
+        dz1_sum = np.zeros_like(z1)
+        gram = None
+        if d < 2 * self.input_dim:
+            gram = x @ x.T
+            gram += 1.0
+        for _ in range(steps):
+            h1 = np.tanh(z1, out=ws.rows("fc2.gate", d, width1))
+            h2 = np.matmul(h1, p["fc2.w"], out=ws.rows("dv", d, width2))
+            h2 += p["fc2.b"]
+            np.tanh(h2, out=h2)
+            dlogits = head_grad(h2 @ p["actor.w"] + p["actor.b"])
+            grads = {"actor.w": h2.T @ dlogits,
+                     "actor.b": dlogits.sum(axis=0)}
+            dz2 = tanh_backward(np.matmul(dlogits, p["actor.w"].T,
+                                          out=ws.rows("dh2", d, width2)),
+                                h2, h2)
+            grads["fc2.w"] = np.matmul(h1.T, dz2,
+                                       out=ws.rows("fc2.dw", width1, width2))
+            grads["fc2.b"] = dz2.sum(axis=0)
+            dz1 = tanh_backward(np.matmul(dz2, p["fc2.w"].T,
+                                          out=ws.rows("fc2.dx", d, width1)),
+                                h1, h1)
+            for key, g in grads.items():
+                p[key] -= np.multiply(g, lr, out=g)
+            dz1_sum += dz1
+            move = h1  # h1's buffer is free once dz1 is formed
+            if gram is None:
+                np.matmul(x, np.matmul(x.T, dz1, out=ws.rows(
+                    "fc1.dw", self.input_dim, width1)), out=move)
+                move += dz1.sum(axis=0)
+            else:
+                np.matmul(gram, dz1, out=move)
+            z1 -= np.multiply(move, lr, out=move)
+        dw1 = np.matmul(x.T, dz1_sum, out=ws.rows("fc1.dw", self.input_dim,
+                                                  width1))
+        p["fc1.w"] -= np.multiply(dw1, lr, out=dw1)
+        p["fc1.b"] -= lr * dz1_sum.sum(axis=0)
 
     def act(self, x: np.ndarray, rng: np.random.Generator,
             memo: Optional[dict] = None) -> Tuple[int, float, float]:

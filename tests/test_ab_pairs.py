@@ -263,3 +263,51 @@ def test_trace_times_pairs_untraced_and_records_layer_rows(
     assert layers["parent"] == {"f.calls": 200, "g.calls": 7, "f.self_s": 0.3}
     assert layers["change"]["f.calls"] == 50
     assert layers["counts_differ"] == {"f.calls": [200, 50]}
+
+
+def test_marks_each_bounded_median_within_its_bound(tmp_path, monkeypatch,
+                                                    capsys):
+    """A metric with a bound in BENCHMARK.json is within it when the
+    change's median is worse than the parent's by at most that fraction;
+    a metric without a bound gets no mark."""
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [
+                {"name": "steps_per_s", "better": "higher", "bound": 0.25},
+                {"name": "cpu_s", "better": "lower", "bound": 0.1},
+                {"name": "rss", "better": "lower", "bound": 0.1},
+                {"name": "setup", "better": "lower"}]}))
+
+    def run(checkout, workload, seed, seconds, trace):
+        change = checkout.endswith("change")
+        values = {"steps_per_s": 100.0 if change else 130.0,  # 23% worse
+                  "cpu_s": 1.2 if change else 1.0,  # 20% worse
+                  "rss": 9.0 if change else 10.0,  # better
+                  "setup": 5.0 if change else 1.0}
+        result = {"correct": True, "minor_faults": 0,
+                  "metrics": {m: {"value": v} for m, v in values.items()}}
+        return result, {"round_outputs": {}, "outputs": {"blas_threads": 1}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main([str(dirs["parent"]), str(dirs["change"]),
+                          "--workload", "train", "--seeds", "0-2",
+                          "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    shown = {line.split(":")[0]: line for line in lines
+             if line.startswith(("steps_per_s:", "cpu_s:", "rss:", "setup:"))}
+    assert shown["steps_per_s"].endswith("within bound 25% True")
+    assert shown["cpu_s"].endswith("within bound 10% False")
+    assert shown["rss"].endswith("within bound 10% True")
+    assert "within bound" not in shown["setup"]
+    (record,) = json.loads(out.read_text())["runs"]
+    metrics = record["summary"]["metrics"]
+    assert json.loads(lines[-1])["metrics"] == metrics
+    assert {m: (v.get("bound"), v.get("within_bound"))
+            for m, v in metrics.items()} == {
+        "steps_per_s": (0.25, True), "cpu_s": (0.1, False),
+        "rss": (0.1, True), "setup": (None, None)}
+    assert "bound" not in metrics["setup"]

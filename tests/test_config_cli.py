@@ -249,15 +249,19 @@ class TestCliCommands:
 
         monkeypatch.setattr(learner, "ppo_update", counting)
         out = tmp_path / "run"
-        assert cli.main(self.train_args(out, steps=800)) == 0
+        # prunes at steps 250, 500 and 750, one before each update
+        cfg = tmp_path / "prune.yaml"
+        cfg.write_text("graph.prune_every: 250\n")
+        assert cli.main(self.train_args(out, steps=800)
+                        + ["--config", str(cfg)]) == 0
         records = [json.loads(line) for line in
                    (out / "train_log.jsonl").read_text().splitlines()]
         updates = [r for r in records if r.get("kind") == "update"]
         assert len(calls) >= 2 and len(updates) == len(calls)
         keys = {"kind", "step", "policy_loss", "value_loss", "entropy",
                 "approx_kl", "clip_frac", "il", "policy_forwards",
-                "ppo_distinct", "nodes", "edges", "rollout_s", "ppo_s",
-                "il_s"}
+                "ppo_distinct", "nodes", "edges", "rollout_s", "prune_s",
+                "ppo_s", "il_s"}
         for rec in updates:
             assert keys <= set(rec) <= keys | {"nan_abort"}
             assert set(rec["il"]) == {"ce", "kl", "n", "distinct"}
@@ -271,6 +275,10 @@ class TestCliCommands:
             # wall seconds of the update's phases
             assert rec["rollout_s"] > 0 and rec["ppo_s"] > 0
             assert rec["il_s"] > 0
+        # each prune is timed apart from the rollout, in the record of the
+        # next update
+        assert [r["step"] for r in updates] == [256, 512, 768]
+        assert all(r["prune_s"] > 0 for r in updates)
         steps = [r["step"] for r in updates]
         assert steps == sorted(steps) and steps[-1] <= 800
         # the graph at each update: nodes are never removed
@@ -337,6 +345,45 @@ class TestCliCommands:
         assert (f"config error: {key} must be a positive integer"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("learner.minibatches: 300\n",
+         "learner.minibatches must not exceed learner.nsteps (256), got 300"),
+        ("learner.nsteps: 8\nlearner.minibatches: 9\n",
+         "learner.minibatches must not exceed learner.nsteps (8), got 9"),
+        ("reward.radius: -1\n",
+         "reward.radius must be a positive finite number, got -1"),
+        ("reward.radius: 0\n",
+         "reward.radius must be a positive finite number, got 0"),
+        ("reward.radius: .inf\n",
+         "reward.radius must be a positive finite number, got inf"),
+        ("reward.radius: near\n",
+         "reward.radius must be a positive finite number, got 'near'"),
+        ("reward.radius: true\n",
+         "reward.radius must be a positive finite number, got True")])
+    def test_unusable_learner_setting_fails_cleanly(self, tmp_path, capsys,
+                                                    text, message):
+        """Before, more minibatches than nsteps crashed the first PPO update
+        with ZeroDivisionError (an empty minibatch), and a radius that is
+        not positive ran to the end without reaching a goal."""
+        out = tmp_path / "run"
+        code = cli.main(["train", "--out", str(out), "--steps", "600",
+                         "--config", self.bad_config(tmp_path, text)])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_minibatches_up_to_nsteps_train(self, tmp_path):
+        """The bounds are inclusive: one-row minibatches train."""
+        out = tmp_path / "run"
+        cfg = tmp_path / "edge.yaml"
+        cfg.write_text("learner.nsteps: 64\nlearner.minibatches: 64\n"
+                       "reward.radius: 1.5\n")
+        assert cli.main(self.train_args(out, steps=200)
+                        + ["--config", str(cfg)]) == 0
+        records = [json.loads(line) for line in
+                   (out / "train_log.jsonl").read_text().splitlines()]
+        assert sum(r.get("kind") == "update" for r in records) == 3
 
     def test_negative_noise_flag_fails_cleanly(self, tmp_path, capsys):
         code = cli.main(["train", "--out", str(tmp_path / "run"),

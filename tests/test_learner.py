@@ -248,6 +248,19 @@ class TestImitation:
                            steps=20)["kl"]
         assert weak < strong
 
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_critic_is_untouched(self, rng, n):
+        """Imitation has no value loss: the critic keeps its bytes while
+        every other parameter moves, on both orders of the fc1 fold (32
+        distinct inputs against input_dim 6 use ``x @ (x.T @ dz1)``)."""
+        net = ActorCritic(6 if n == 32 else 259, 4, hidden=(16, 8), seed=2)
+        x = rng.standard_normal((n, net.input_dim))
+        before = net.copy_params()
+        il_update(net, x, rng.integers(0, 4, n), lr=0.05, beta=0.1, steps=5)
+        for k in before:
+            moved = net.params[k].tobytes() != before[k].tobytes()
+            assert moved == (not k.startswith("critic.")), k
+
     def test_empty_batch_is_noop(self):
         net = ActorCritic(6, 4, hidden=(8, 8), seed=0)
         before = net.copy_params()
@@ -413,21 +426,6 @@ def central_differences(params, loss_fn, grads, rng, eps=1e-6, probes=4):
     return out
 
 
-class RecordingNet(ActorCritic):
-    """``ActorCritic`` that keeps a copy of the parameters and of the
-    gradients at every backward."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.seen = []
-
-    def backward(self, cache, dlogits, dvalues):
-        grads = super().backward(cache, dlogits, dvalues)
-        self.seen.append(({k: v.copy() for k, v in self.params.items()},
-                          {k: g.copy() for k, g in grads.items()}))
-        return grads
-
-
 class TestDistinctRowGradients:
     """The losses run the network on distinct rows only; their gradients
     are checked against central differences of the loss written over all
@@ -460,18 +458,21 @@ class TestDistinctRowGradients:
     def test_il_gradient(self, rng, duplicate_heavy, k):
         """The second step's gradient, where the KL term is live, is the
         gradient of the every-row loss at that step's parameters, with the
-        old policy of the first step's parameters."""
-        net = RecordingNet(6, 4, hidden=(16, 8), seed=3)
+        old policy of the first step's parameters. Plain SGD makes it
+        ``-(params(steps=2) - params(steps=1)) / lr``, every parameter
+        included; the critic's is zero."""
         x = duplicate_heavy(rng, k, self.N, 6)
         actions = rng.integers(0, 4, self.N)
-        beta = 0.5
-        stats = il_update(net, x, actions, lr=0.5, beta=beta, steps=2)
-        assert stats["distinct"] == k and stats["n"] == self.N
-        (first, _), (params, grads) = net.seen
-        net.set_params(first)
+        beta, lr = 0.5, 0.5
+        net = ActorCritic(6, 4, hidden=(16, 8), seed=3)
         old_logits = net.forward(x)[0]
         old_probs, old_lp = softmax(old_logits), log_probs(old_logits)
-        net.set_params(params)
+        il_update(net, x, actions, lr=lr, beta=beta, steps=1)
+        two = ActorCritic(6, 4, hidden=(16, 8), seed=3)
+        stats = il_update(two, x, actions, lr=lr, beta=beta, steps=2)
+        assert stats["distinct"] == k and stats["n"] == self.N
+        grads = {key: (net.params[key] - two.params[key]) / lr
+                 for key in net.params}
         ce, kl, _ = every_row_il_loss(net, x, actions, old_probs, old_lp,
                                       beta)
         assert kl > 0
@@ -517,17 +518,21 @@ class TestUpdatesMatchReference:
                 assert_close(opt.m[key], ref_opt.m[key])
                 assert_close(opt.v[key], ref_opt.v[key])
 
-    @pytest.mark.parametrize("k", [5, 40, 300])
+    @pytest.mark.parametrize("k", [5, 40, 300, 600])
     def test_il_update(self, rng, duplicate_heavy, k):
+        """Up to 517 distinct inputs (twice input_dim 259) fold ``fc1``
+        through their Gram matrix, 600 through ``x @ (x.T @ dz1)``; the
+        two calls grow the workspace, then reuse it."""
+        n = max(k, 300)
         net, ref = ActorCritic(259, 4, seed=5), ReferenceNet(259, 4, seed=5)
         for _ in range(2):
-            x = duplicate_heavy(rng, k, 300)
-            actions = rng.integers(0, 4, 300)
+            x = duplicate_heavy(rng, k, n)
+            actions = rng.integers(0, 4, n)
             got = il_update(net, x, actions, lr=0.03, beta=0.1, steps=16)
             want = reference_il_update(ref, x, actions, lr=0.03, beta=0.1,
                                        steps=16)
             assert got.pop("distinct") == k
-            assert got.pop("n") == want.pop("n") == 300
+            assert got.pop("n") == want.pop("n") == n
             assert got.keys() == want.keys() == {"ce", "kl"}
             for key in want:
                 assert_close(got[key], want[key])

@@ -7,6 +7,9 @@ outputs agree, naming the output keys that differ, then per metric the
 medians, quartiles and the change's wins (ties count for neither side), and
 whether a gain is claimable: the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
+For each metric with a ``bound`` in the parent's ``BENCHMARK.json`` it also
+marks whether the change's median is within it: worse than the parent's
+median by at most that fraction of it.
 The last line is the summary as JSON.
 Each run's minor page faults (the ``ru_minflt`` of the benchmark process)
 are printed with its pair and summarised per side; they explain a timing and
@@ -57,12 +60,15 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float]:
     return q1, q3
 
 
-def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
+def summarize(pairs: List[dict], better: Dict[str, str],
+              bounds: Optional[Dict[str, float]] = None) -> dict:
     """Per-metric medians, quartiles and wins of the change over the parent.
 
     ``pairs`` holds one ``{"parent": {metric: value}, "change": {metric:
     value}, "outputs_equal": bool}`` per pair; ``better`` maps each metric
-    to "higher" or "lower".
+    to "higher" or "lower". A metric named in ``bounds`` also gets its
+    ``bound`` and ``within_bound``: whether the change's median is worse
+    than the parent's by at most ``bound`` times the parent's.
     """
     metrics = {}
     for name, direction in better.items():
@@ -82,6 +88,11 @@ def summarize(pairs: List[dict], better: Dict[str, str]) -> dict:
             "claimable": (wins >= 0.9 * len(pairs)
                           and sign * (new_med - old_med) > old_q[1] - old_q[0]),
         }
+        bound = (bounds or {}).get(name)
+        if bound is not None:
+            metrics[name]["bound"] = bound
+            metrics[name]["within_bound"] = (
+                sign * (old_med - new_med) <= bound * abs(old_med))
     return {"pairs": len(pairs),
             "outputs_equal": sum(p["outputs_equal"] for p in pairs),
             "metrics": metrics}
@@ -184,6 +195,8 @@ def main(argv=None) -> int:
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]
+              if "bound" in m}
     counts = [m["name"] for m in spec.get("per_layer", ())
               if m["unit"] == "count"]
 
@@ -217,7 +230,7 @@ def main(argv=None) -> int:
               f"minor_faults {faults['parent']}/{faults['change']}  "
               f"outputs {outputs}  correct {pair['correct']}", flush=True)
 
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, better, bounds)
     summary["correct"] = sum(p["correct"] for p in pairs)
     summary["minor_faults"] = fault_stats = fault_summary(pairs)
     for name, m in summary["metrics"].items():
@@ -226,7 +239,9 @@ def main(argv=None) -> int:
               f" -> change {m['change_median']:.4g} "
               f"({m['change_quartiles'][0]:.4g}-{m['change_quartiles'][1]:.4g})"
               f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
-              f", claimable {m['claimable']}")
+              f", claimable {m['claimable']}"
+              + (f", within bound {m['bound']:.0%} {m['within_bound']}"
+                 if "bound" in m else ""))
     old_q, new_q = (fault_stats[f"{side}_quartiles"]
                     for side in ("parent", "change"))
     print(f"minor_faults (not gated): parent "
