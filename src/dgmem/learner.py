@@ -220,16 +220,15 @@ def il_update(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
     counts = np.zeros((len(rows), net.n_actions))
     np.add.at(counts, (inverse, np.asarray(actions, int)), 1.0)
     weight = counts.sum(axis=1, keepdims=True)
-    old: List[np.ndarray] = []
+    old_probs = old_lp = None
     ce = kl = 0.0
 
     def head_grad(logits: np.ndarray) -> np.ndarray:
-        nonlocal ce, kl
+        nonlocal old_probs, old_lp, ce, kl
         probs = softmax(logits)
         lp = log_probs(logits)
-        if not old:
-            old.extend((probs, lp))
-        old_probs, old_lp = old
+        if old_probs is None:
+            old_probs, old_lp = probs, lp
         ce = float(-(counts * lp).sum() / n)
         kl = float((weight * old_probs * (old_lp - lp)).sum() / n)
         return (weight * probs - counts

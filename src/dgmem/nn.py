@@ -18,12 +18,10 @@ of the network's ``Workspace``, valid only until the next backward through
 that network. ``Adam.step`` updates its moments and the parameters in place,
 with the operations of its plain formula in the same order.
 
-Imitation runs many plain-SGD steps on one fixed batch.
-``ActorCritic.sgd_on_fixed_inputs`` runs them without forming the first
-layer's input product or weight gradient at each step: with fixed inputs
-``x``, an SGD step of ``fc1`` moves its pre-activation by ``-lr * (x @ x.T +
-1) @ dz1``, so the steps move that pre-activation through the batch's Gram
-matrix and apply their summed ``fc1`` step once at the end.
+Imitation runs its plain-SGD steps on one fixed batch through
+``ActorCritic.sgd_on_fixed_inputs``, which moves the first layer's
+pre-activation through the batch's Gram matrix instead of forming that
+layer's input product and weight gradient at every step.
 """
 from __future__ import annotations
 
@@ -200,7 +198,8 @@ class ActorCritic:
         multiply-adds per hidden unit) while d < 2 * input_dim, else as ``x
         @ (x.T @ dz1) + dz1.sum(0)`` (2*d*input_dim).
 
-        ``z1``, ``sum(dz1)`` and ``G`` live for the call. The per-step
+        ``z1``, ``sum(dz1)`` and ``G`` are allocated once per call (kept in
+        the workspace, they measured more peak RSS). The per-step
         temporaries are views of the workspace buffers a backward owns:
         ``h1``, then its gate, then ``G @ dz1`` in ``fc2.gate``; ``h2`` and
         its gate in ``dv``; ``dz2`` in ``dh2``; ``dz1`` in ``fc2.dx``; the

@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from dgmem import cli, config as cfgmod, learner
 from dgmem.graph import GraphMemory
 from dgmem.gridworld import GridEnv
+
+PRUNE_S = 100.0  # seconds a pruning takes on a test clock
 
 
 class TestConfig:
@@ -248,6 +251,23 @@ class TestCliCommands:
             return ppo_update(*args, **kwargs)
 
         monkeypatch.setattr(learner, "ppo_update", counting)
+        # the learner's clock ticks 1 ms per reading, and a pruning takes
+        # PRUNE_S on it
+        now = [0.0]
+
+        def perf_counter():
+            now[0] += 1e-3
+            return now[0]
+
+        prune_edges = GraphMemory.prune_edges
+
+        def slow_prune(graph, *args):
+            now[0] += PRUNE_S
+            return prune_edges(graph, *args)
+
+        monkeypatch.setattr(learner, "time",
+                            SimpleNamespace(perf_counter=perf_counter))
+        monkeypatch.setattr(GraphMemory, "prune_edges", slow_prune)
         out = tmp_path / "run"
         # prunes at steps 250, 500 and 750, one before each update
         cfg = tmp_path / "prune.yaml"
@@ -272,13 +292,15 @@ class TestCliCommands:
             assert 0 <= rec["il"]["distinct"] <= rec["il"]["n"]
             assert (rec["il"]["distinct"] > 0) == (rec["il"]["n"] > 0)
             assert rec["nodes"] > 0 and rec["edges"] >= 0
-            # wall seconds of the update's phases
+            # seconds of the update's phases, on the test clock
             assert rec["rollout_s"] > 0 and rec["ppo_s"] > 0
             assert rec["il_s"] > 0
         # each prune is timed apart from the rollout, in the record of the
         # next update
         assert [r["step"] for r in updates] == [256, 512, 768]
-        assert all(r["prune_s"] > 0 for r in updates)
+        for rec in updates:
+            assert rec["prune_s"] == pytest.approx(PRUNE_S + 1e-3)
+            assert rec["rollout_s"] < 1.0
         steps = [r["step"] for r in updates]
         assert steps == sorted(steps) and steps[-1] <= 800
         # the graph at each update: nodes are never removed

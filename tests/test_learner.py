@@ -520,9 +520,9 @@ class TestUpdatesMatchReference:
 
     @pytest.mark.parametrize("k", [5, 40, 300, 600])
     def test_il_update(self, rng, duplicate_heavy, k):
-        """Up to 517 distinct inputs (twice input_dim 259) fold ``fc1``
-        through their Gram matrix, 600 through ``x @ (x.T @ dz1)``; the
-        two calls grow the workspace, then reuse it."""
+        """Fewer than 518 distinct inputs (twice input_dim 259) move
+        ``fc1``'s pre-activation by their Gram matrix, 600 by ``x @ (x.T @
+        dz1)``."""
         n = max(k, 300)
         net, ref = ActorCritic(259, 4, seed=5), ReferenceNet(259, 4, seed=5)
         for _ in range(2):
