@@ -6,6 +6,7 @@ serialize -> parse is the identity.
 """
 from __future__ import annotations
 
+import math
 from typing import Any, Dict
 
 import yaml
@@ -81,6 +82,12 @@ def make_config(overrides: Dict[str, Any] | None = None) -> Dict[str, Any]:
     return cfg
 
 
+def _finite(value: Any) -> bool:
+    """Whether ``value`` is a finite int or float (a bool is not)."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
 def _check(cfg: Dict[str, Any]) -> None:
     for key, value in cfg.items():
         if isinstance(value, float) and value != value:
@@ -98,13 +105,15 @@ def _check(cfg: Dict[str, Any]) -> None:
         raise ConfigError("learner.minibatches must not exceed "
                           f"learner.nsteps ({cfg['learner.nsteps']}), got "
                           f"{cfg['learner.minibatches']}")
-    radius = cfg["reward.radius"]
-    if (isinstance(radius, bool) or not isinstance(radius, (int, float))
-            or not 0 < radius < float("inf")):
-        raise ConfigError("reward.radius must be a positive finite number, "
-                          f"got {radius!r}")
-    if cfg["sampler.temperature"] <= 0:
-        raise ConfigError("sampler.temperature must be positive")
+    for key in ("reward.radius", "learner.il_lr", "sampler.temperature"):
+        value = cfg[key]
+        if not _finite(value) or value <= 0:
+            raise ConfigError(f"{key} must be a positive finite number, "
+                              f"got {value!r}")
+    beta = cfg["learner.beta"]  # the imitation loss divides by 1 + beta
+    if not _finite(beta) or beta < 0:
+        raise ConfigError("learner.beta must be a finite number >= 0, "
+                          f"got {beta!r}")
     for key in ("env.noise", "eval.noise", "eval.max_steps",
                 "eval.subgoal_budget", "eval.max_replans"):
         value = cfg[key]

@@ -8,7 +8,7 @@ the state for evaluation bookkeeping only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class GridMap:
     """Bounded tile grid.
 
     ``tiles`` is indexed ``tiles[x, y]``; boundary cells are walls.
-    ``tiles`` becomes read-only once a patch has been taken on the map,
-    since such patches read a wall-padded copy of it.
+    ``tiles`` becomes read-only once a patch or the neighbour list has been
+    taken on the map, since both are derived copies of it.
     """
 
     width: int
@@ -72,6 +72,9 @@ class GridMap:
     # patch size -> tiles with a wall border of half that size
     _padded: Dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # free_neighbours(), made on its first call
+    _neighbours: Optional[List[Tuple[int, ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -82,6 +85,23 @@ class GridMap:
     def free_cells(self) -> List[Tuple[int, int]]:
         xs, ys = np.nonzero(self.tiles != WALL)
         return list(zip(xs.tolist(), ys.tolist()))
+
+    def free_neighbours(self) -> List[Tuple[int, ...]]:
+        """For each cell, by its index ``x * height + y`` in
+        ``tiles.ravel()``, the indices of the free cells one cardinal move
+        away; empty for a wall. Made once per map and shared by later calls.
+        """
+        if self._neighbours is None:
+            self.tiles.flags.writeable = False
+            free = (self.tiles != WALL).tolist()
+            w, h = self.width, self.height
+            self._neighbours = [
+                tuple(nx * h + ny for nx, ny in ((x, y + 1), (x, y - 1),
+                                                 (x + 1, y), (x - 1, y))
+                      if 0 <= nx < w and 0 <= ny < h and free[nx][ny])
+                if free[x][y] else ()
+                for x in range(w) for y in range(h)]
+        return self._neighbours
 
     def patch(self, x: int, y: int, k: int = 5) -> np.ndarray:
         """Read-only k x k tile window centered on (x, y); out-of-bounds

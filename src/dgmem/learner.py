@@ -36,6 +36,35 @@ def policy_input(obs_feat: np.ndarray, goal_feat: np.ndarray,
                            np.asarray(rel_pose, float) / POSE_SCALE])
 
 
+class PolicyBlocks:
+    """A policy network's ``fc1`` split by the blocks of ``policy_input``.
+
+    ``view``, ``target`` and ``rel`` are the rows of ``fc1.w`` that multiply
+    the view feature, the target feature and the relative pose /
+    POSE_SCALE. Given the block products ``v @ view`` and ``t @ target``,
+    ``probs`` returns the action probabilities of ``policy_input(v, t,
+    rel)``. They equal ``softmax(net.forward(x))`` in real arithmetic; only
+    the rounding of ``fc1``'s sum differs. The blocks are views of the
+    parameters, valid while the network is frozen.
+    """
+
+    def __init__(self, net: ActorCritic):
+        w = net.params["fc1.w"]
+        dim = (len(w) - 3) // 2  # the feature width; the pose has 3 entries
+        self.view, self.target, self.rel = w[:dim], w[dim:2 * dim], w[2 * dim:]
+        self.bias = net.params["fc1.b"]
+        self.net = net
+
+    def probs(self, view_part: np.ndarray, target_part: np.ndarray,
+              rel_pose: np.ndarray) -> np.ndarray:
+        """softmax of the actor logits at ``z1 = view_part + target_part +
+        (rel_pose / POSE_SCALE) @ rel + bias``, summed in that order."""
+        z1 = (view_part + target_part
+              + (np.asarray(rel_pose, float) / POSE_SCALE) @ self.rel
+              + self.bias)
+        return softmax(self.net.actor_logits(z1))
+
+
 def lr_schedule(step: int, total: int, lr_start: float, lr_end: float) -> float:
     frac = min(max(step, 0), total) / max(total, 1)
     return lr_start + (lr_end - lr_start) * frac
@@ -402,6 +431,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     rollout = Rollout()
     rollout_start = time.perf_counter()
     prune_s = 0.0  # graph pruning since the previous update ended
+    pruned = 0  # edges it removed
 
     for step in range(1, total + 1):
         if len(graph) == 0:
@@ -509,6 +539,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             rollout_start = il_end
             prune_s = 0.0
             stats["il"] = il_stats
+            stats["pruned"], pruned = pruned, 0
             stats["ppo_distinct"] = stats.pop("distinct")
             stats["policy_forwards"] = policy_forwards
             stats["nodes"], stats["edges"] = len(graph), graph.num_edges
@@ -517,7 +548,8 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
 
         if step % int(cfg["graph.prune_every"]) == 0:
             prune_start = time.perf_counter()
-            graph.prune_edges(int(cfg["graph.prune_min_count"]))
+            pruned += len(graph.prune_edges(
+                int(cfg["graph.prune_min_count"])))
             prune_s += time.perf_counter() - prune_start
             dist_version = -1
 

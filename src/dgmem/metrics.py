@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gridworld import WALL, GridMap
+from .gridworld import GridMap
 
 
 class CoverageTracker:
@@ -72,25 +72,27 @@ def grid_distances(grid: GridMap, source: Tuple[int, int]) -> np.ndarray:
     ``grid.tiles``, by one full BFS on the true map (evaluation oracle).
 
     -1 marks walls and cells ``source`` cannot reach. Moves are symmetric,
-    so entry ``c`` is also the distance from ``c`` to ``source``.
+    so entry ``c`` is also the distance from ``c`` to ``source``. The search
+    walks the map's ``free_neighbours`` list one distance layer at a time.
     """
     if not grid.is_free(*source):
         raise ValueError("source must be a free cell")
-    width, height = grid.tiles.shape
-    free = (grid.tiles != WALL).tolist()  # nested lists index fastest
-    dist = [[-1] * height for _ in range(width)]
-    dist[source[0]][source[1]] = 0
-    queue = deque([source])
-    while queue:
-        x, y = queue.popleft()
-        d = dist[x][y] + 1
-        for nx, ny in ((x, y + 1), (x, y - 1), (x + 1, y), (x - 1, y)):
-            if (0 <= nx < width and 0 <= ny < height and free[nx][ny]
-                    and dist[nx][ny] < 0):
-                dist[nx][ny] = d
-                queue.append((nx, ny))
+    neighbours = grid.free_neighbours()
+    dist = [-1] * len(neighbours)
+    layer = [source[0] * grid.height + source[1]]
+    dist[layer[0]] = d = 0
+    while layer:
+        d += 1
+        frontier = []
+        for cell in layer:
+            for n in neighbours[cell]:
+                if dist[n] < 0:
+                    dist[n] = d
+                    frontier.append(n)
+        layer = frontier
     # the smallest signed dtype holding every distance (< the cell count)
-    return np.array(dist, np.min_scalar_type(-grid.tiles.size))
+    return np.array(dist, np.min_scalar_type(-grid.tiles.size)).reshape(
+        grid.tiles.shape)
 
 
 def spl_term(success: bool, path: float, shortest: float) -> float:

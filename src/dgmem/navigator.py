@@ -30,13 +30,23 @@ view, target, relative pose), where the target is a route node or, on the
 final leg, the goal view; the step's graph query of (view, pose estimate),
 and with it the per-node subgoal flags of its arrival radius; the drift
 correction of that query and its radius; the route between two nodes, read
-by walking up one Dijkstra tree per source node; and the cells each action
-is predicted to reach from a (pose cell, variant, heading). ``execute``
-keeps each of these in a ``Memo`` and computes an entry only on a miss.
+by walking up one Dijkstra tree per source node; the cells each action
+is predicted to reach from a (pose cell, variant, heading); and the goal
+node of a goal's (view, pose). ``execute`` keeps each of these in a
+``Memo`` and computes an entry only on a miss.
+
+A policy miss does not run the whole network on the concatenated input:
+``learner.PolicyBlocks`` splits ``fc1`` by the input's blocks, so the memo
+keeps each view's feature with its view-block product and each target's
+target-block product, and a miss adds them to the pose block's small
+product before the rest of the trunk. The probabilities equal the whole
+network's within rounding (about 1e-14 relative).
+
 One evaluation run over fixed artifacts may share one memo across its
-episodes; anything that trains or writes the graph may not. Under odometry
-noise the pose rarely repeats, so each table stops taking entries at its
-bound.
+episodes; anything that trains or writes the graph may not, since every
+table, the block products included, holds answers of the network, graph
+and encoder it was filled with. Under odometry noise the pose rarely
+repeats, so each table stops taking entries at its bound.
 """
 from __future__ import annotations
 
@@ -49,26 +59,34 @@ from .encoder import PatchEncoder
 from .graph import GraphMemory, tree_path
 from .gridworld import (CARDINAL_ACTIONS, ORIENTATION_ACTIONS, AgentState,
                         GridEnv, Observation, action_effect)
-from .learner import policy_input
-from .nn import ActorCritic, softmax
+from .learner import PolicyBlocks
+from .nn import ActorCritic
 
 # Bounds of the Memo tables. On the benchmark graph (71 nodes) a policy
 # entry takes about 0.4 KB, a graph query about 3 KB, a route tree about
-# 2.3 KB and a neighbour entry about 0.7 KB. A noise-free 1000-episode
-# FourRooms evaluation needs about 2.2k policy entries, 256 queries, 1.5k
-# drift fixes, 71 route trees (one per source node; at most one per graph
-# node at any noise) and 256 neighbour entries; under odometry noise, where
-# every table but the routes fills, they add about 7 MB. A route tree is a
-# full Dijkstra, about twice a search that stops at its destination, so it
-# pays off from the second route out of its source; on a graph with more
-# source nodes than ROUTE_ENTRIES, each route miss after the table fills
-# builds a tree that is not kept. In the FourRooms evaluation above the
-# neighbour table answers 98% of lookups noise-free, 9% at eval.noise 0.3.
+# 2.3 KB, a neighbour entry about 0.7 KB, a view or a target entry about
+# 4.2 KB (a 512-wide block product; a view's feature is the encoder's own
+# array) and a goal entry about 0.2 KB. A noise-free 1000-episode FourRooms
+# evaluation needs about 2.2k policy entries, 256 queries, 1.5k drift
+# fixes, 71 route trees (one per source node; at most one per graph node
+# at any noise), 256 neighbour entries, 251 views, 314 targets (nodes and
+# goal views) and 250 goals. Views, targets and goals do not depend on the
+# pose estimate, so odometry noise leaves them at these counts (about
+# 2.4 MB); under noise every other table but the routes fills, adding
+# about 7 MB. A route tree is a full Dijkstra, about twice a search that
+# stops at its destination, so it pays off from the second route out of
+# its source; on a graph with more source nodes than ROUTE_ENTRIES, each
+# route miss after the table fills builds a tree that is not kept. In the
+# FourRooms evaluation above the neighbour table answers 98% of lookups
+# noise-free, 9% at eval.noise 0.3.
 MEMO_ENTRIES = 1 << 13
 QUERY_ENTRIES = 1 << 9
 DRIFT_ENTRIES = 1 << 11
 ROUTE_ENTRIES = 1 << 8
 NEIGHBOUR_ENTRIES = 1 << 11
+VIEW_ENTRIES = 1 << 11
+TARGET_ENTRIES = 1 << 10
+GOAL_ENTRIES = 1 << 10
 
 
 @dataclass
@@ -135,8 +153,12 @@ class Memo:
     ``_drift_correction``'s offset or None, ``route`` maps a source node to
     its ``GraphMemory.weighted_tree``, whose walk to any destination is the
     ``weighted_path`` route, and ``neighbours`` maps (pose cell, variant,
-    heading) to the cell each action is predicted to reach. Valid only under
-    the contract in the module docstring; each table takes no entries beyond
+    heading) to the cell each action is predicted to reach. ``views`` maps
+    view bytes to (feature, view-block product), ``targets`` maps a route
+    node or the goal view's bytes to its target-block product (see
+    ``learner.PolicyBlocks``), and ``goals`` maps (goal view bytes, goal
+    pose bytes) to the ``localize_goal`` node. Valid only under the
+    contract in the module docstring; each table takes no entries beyond
     its bound.
     """
 
@@ -146,6 +168,9 @@ class Memo:
         self.drift: dict = {}
         self.route: dict = {}
         self.neighbours: dict = {}
+        self.views: dict = {}
+        self.targets: dict = {}
+        self.goals: dict = {}
 
     def sizes(self) -> Dict[str, int]:
         """Entry count of each table, by table name."""
@@ -272,7 +297,20 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     """
     if memo is None:
         memo = Memo()
-    goal_feat = enc.encode(goal_obs.patch)
+    blocks = PolicyBlocks(net)
+
+    def _view(patch: np.ndarray) -> Tuple[bytes, np.ndarray, np.ndarray]:
+        """A view's key, its feature and its policy block product."""
+        key = patch.tobytes()
+        entry = memo.views.get(key)
+        if entry is None:
+            feat = enc.encode(patch)
+            entry = (feat, feat @ blocks.view)
+            _keep(memo.views, VIEW_ENTRIES, key, entry)
+        return (key,) + entry
+
+    # final-leg target: the goal view, keyed by its bytes
+    goal_key, goal_feat, _ = _view(goal_obs.patch)
     goal_pose = np.asarray(goal_obs.pose_est, float)
 
     def _at_goal(feat, pose) -> bool:
@@ -299,19 +337,22 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             _keep(memo.route, ROUTE_ENTRIES, src, tree)
         return tree_path(tree, dst)
 
-    feat = enc.encode(start_obs.patch)
+    view_key, feat, view_part = _view(start_obs.patch)
     if _at_goal(feat, start_obs.pose_est):
         return EpisodeResult(0, "already_at_goal", 0, state)
     if not graph.nodes:
         return EpisodeResult(0, "empty_graph", 0, state)
     obs = start_obs
-    view_key = obs.patch.tobytes()
     # drift-corrected pose estimate: odometry plus the cumulative offset
     # from re-anchoring on visually recognized memory nodes
     corr = np.zeros_like(np.asarray(start_obs.pose_est, float))
     pose = np.asarray(obs.pose_est, float) + corr
     _, q = _look(view_key, feat, pose)
-    goal_node = localize_goal(graph, goal_feat, goal_pose)
+    goal = (goal_key, goal_pose.tobytes())
+    goal_node = memo.goals.get(goal)
+    if goal_node is None:
+        goal_node = localize_goal(graph, goal_feat, goal_pose)
+        _keep(memo.goals, GOAL_ENTRIES, goal, goal_node)
     route = _route(q.nearest, goal_node)
     if not route:
         return EpisodeResult(0, "unreachable", 0, state)
@@ -319,7 +360,6 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     # consume any route waypoints already satisfied at the start, so the
     # executor never walks back to touch a node behind it
     _advance_cursor(graph, plan, q, subgoal_radius)
-    goal_key = goal_obs.patch.tobytes()  # final-leg target: the goal view
 
     steps = 0
     steps_since_fix = 0
@@ -342,14 +382,16 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         key = (view_key, target, rel.tobytes())
         probs = memo.policy.get(key)
         if probs is None:
-            x = policy_input(feat, sub_feat, rel)
-            probs = tuple(softmax(net.forward(x)[0])[0].tolist())
+            target_part = memo.targets.get(target)
+            if target_part is None:
+                target_part = sub_feat @ blocks.target
+                _keep(memo.targets, TARGET_ENTRIES, target, target_part)
+            probs = tuple(blocks.probs(view_part, target_part, rel).tolist())
             _keep(memo.policy, MEMO_ENTRIES, key, probs)
         action = _select_action(probs, pose, env.variant, visits, blocked,
                                 revisit_penalty, cell, memo)
         state, obs = env.step(state, action, rng)
-        view_key = obs.patch.tobytes()
-        feat = enc.encode(obs.patch)
+        view_key, feat, view_part = _view(obs.patch)
         steps += 1
         budget_left -= 1
         if obs.collided:

@@ -58,7 +58,7 @@ def test_parse_seeds():
     assert ab_pairs.parse_seeds("1,4-5,9") == [1, 4, 5, 9]
 
 
-def fake_run(checkout, workload, seed, seconds, trace):
+def fake_run(checkout, workload, seed, seconds, trace, smoke=False):
     """A benchmark run's result line and detail file, without running it."""
     change = checkout.endswith("change")
     speed = 100.0 + seed + (10.0 if change else 0.0)
@@ -121,7 +121,7 @@ def test_names_the_output_keys_that_differ(tmp_path, monkeypatch, capsys):
         (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
             {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
 
-    def run(checkout, workload, seed, seconds, trace):
+    def run(checkout, workload, seed, seconds, trace, smoke=False):
         result, detail = fake_run(checkout, workload, seed, seconds, trace)
         outputs = {"nodes": 68, "params_sha256": "p",
                    "best_params_sha256": "b"}
@@ -228,7 +228,7 @@ def test_trace_times_pairs_untraced_and_records_layer_rows(
                            {"name": "f.self_s", "unit": "s"}]}))
     calls = []
 
-    def traced_run(checkout, workload, seed, seconds, trace):
+    def traced_run(checkout, workload, seed, seconds, trace, smoke=False):
         calls.append((os.path.basename(checkout), seed, seconds, trace))
         if not trace:
             return fake_run(checkout, workload, seed, seconds, trace)
@@ -281,7 +281,7 @@ def test_marks_each_bounded_median_within_its_bound(tmp_path, monkeypatch,
                 {"name": "rss", "better": "lower", "bound": 0.1},
                 {"name": "setup", "better": "lower"}]}))
 
-    def run(checkout, workload, seed, seconds, trace):
+    def run(checkout, workload, seed, seconds, trace, smoke=False):
         change = checkout.endswith("change")
         values = {"steps_per_s": 100.0 if change else 130.0,  # 23% worse
                   "cpu_s": 1.2 if change else 1.0,  # 20% worse
@@ -311,3 +311,57 @@ def test_marks_each_bounded_median_within_its_bound(tmp_path, monkeypatch,
         "steps_per_s": (0.25, True), "cpu_s": (0.1, False),
         "rss": (0.1, True), "setup": (None, None)}
     assert "bound" not in metrics["setup"]
+
+
+def test_smoke_is_forwarded_and_marked(tmp_path, monkeypatch, capsys):
+    """--smoke reaches every benchmark run, traced ones included, and the
+    summary says that smoke steps_per_s measures no workload."""
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
+    forwarded = []
+
+    def run(checkout, workload, seed, seconds, trace, smoke=False):
+        forwarded.append(smoke)
+        return fake_run(checkout, workload, seed, seconds, trace)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run)
+    out = tmp_path / "bench.json"
+    argv = [str(dirs["parent"]), str(dirs["change"]), "--workload",
+            "navigate", "--seeds", "0-1", "--seconds", "0", "--out", str(out)]
+    assert ab_pairs.main(argv + ["--smoke", "--trace", "1"]) == 0
+    assert forwarded == [True] * 6  # two pairs, then one traced run a side
+    lines = capsys.readouterr().out.splitlines()
+    assert f"smoke: {ab_pairs.SMOKE_NOTE}" in lines
+    assert "does not measure a workload" in ab_pairs.SMOKE_NOTE
+    assert json.loads(lines[-1])["smoke"] == ab_pairs.SMOKE_NOTE
+    forwarded.clear()
+    assert ab_pairs.main(argv) == 0
+    assert forwarded == [False] * 4
+    assert "smoke" not in json.loads(capsys.readouterr().out.splitlines()[-1])
+    smoke, full = json.loads(out.read_text())["runs"]
+    assert smoke["smoke"] is True and full["smoke"] is False
+    assert smoke["summary"]["smoke"] == ab_pairs.SMOKE_NOTE
+
+
+def test_run_once_passes_smoke_to_the_benchmark(tmp_path, monkeypatch):
+    (tmp_path / "benchmark" / "out").mkdir(parents=True)
+    (tmp_path / "benchmark" / "out" / "train-seed3-trace0.json").write_text(
+        json.dumps({"round_outputs": {}}))
+    commands = []
+
+    class Proc:
+        stdout = '{"correct": true, "metrics": {}}\n'
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        return Proc()
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    ab_pairs.run_once(str(tmp_path), "train", 3, 0, 0, smoke=True)
+    ab_pairs.run_once(str(tmp_path), "train", 3, 0, 0)
+    assert commands[0][-1] == "--smoke"
+    assert "--smoke" not in commands[1]

@@ -113,9 +113,11 @@ class TestCliCommands:
         # entries of each navigator.Memo table after the evaluation
         sizes = summary["memo_entries"]
         assert set(sizes) == {"policy", "query", "drift", "route",
-                              "neighbours"}
+                              "neighbours", "views", "targets", "goals"}
         assert all(isinstance(n, int) and n >= 0 for n in sizes.values())
         assert sizes["policy"] > 0 and sizes["query"] > 0
+        # one goal node per distinct goal, at most one per episode
+        assert 0 < sizes["goals"] <= 5 and sizes["views"] > 0
         assert 0 < sizes["route"] <= len(GraphMemory.restore(
             (out / "graph.dgm").read_text()))
         report = json.loads((tmp_path / "eval" / "eval_report.json")
@@ -260,10 +262,13 @@ class TestCliCommands:
             return now[0]
 
         prune_edges = GraphMemory.prune_edges
+        removed = []  # edges each pruning removed
 
         def slow_prune(graph, *args):
             now[0] += PRUNE_S
-            return prune_edges(graph, *args)
+            edges = prune_edges(graph, *args)
+            removed.append(len(edges))
+            return edges
 
         monkeypatch.setattr(learner, "time",
                             SimpleNamespace(perf_counter=perf_counter))
@@ -280,8 +285,8 @@ class TestCliCommands:
         assert len(calls) >= 2 and len(updates) == len(calls)
         keys = {"kind", "step", "policy_loss", "value_loss", "entropy",
                 "approx_kl", "clip_frac", "il", "policy_forwards",
-                "ppo_distinct", "nodes", "edges", "rollout_s", "prune_s",
-                "ppo_s", "il_s"}
+                "ppo_distinct", "nodes", "edges", "pruned", "rollout_s",
+                "prune_s", "ppo_s", "il_s"}
         for rec in updates:
             assert keys <= set(rec) <= keys | {"nan_abort"}
             assert set(rec["il"]) == {"ce", "kl", "n", "distinct"}
@@ -301,6 +306,9 @@ class TestCliCommands:
         for rec in updates:
             assert rec["prune_s"] == pytest.approx(PRUNE_S + 1e-3)
             assert rec["rollout_s"] < 1.0
+        # and the edges it removed
+        assert [r["pruned"] for r in updates] == removed
+        assert sum(removed) > 0
         steps = [r["step"] for r in updates]
         assert steps == sorted(steps) and steps[-1] <= 800
         # the graph at each update: nodes are never removed
@@ -382,12 +390,35 @@ class TestCliCommands:
         ("reward.radius: near\n",
          "reward.radius must be a positive finite number, got 'near'"),
         ("reward.radius: true\n",
-         "reward.radius must be a positive finite number, got True")])
+         "reward.radius must be a positive finite number, got True"),
+        ("learner.beta: -1\n",
+         "learner.beta must be a finite number >= 0, got -1"),
+        ("learner.beta: .inf\n",
+         "learner.beta must be a finite number >= 0, got inf"),
+        ("learner.beta: strong\n",
+         "learner.beta must be a finite number >= 0, got 'strong'"),
+        ("learner.il_lr: abc\n",
+         "learner.il_lr must be a positive finite number, got 'abc'"),
+        ("learner.il_lr: -0.5\n",
+         "learner.il_lr must be a positive finite number, got -0.5"),
+        ("learner.il_lr: 0\n",
+         "learner.il_lr must be a positive finite number, got 0"),
+        ("sampler.temperature: hot\n",
+         "sampler.temperature must be a positive finite number, got 'hot'"),
+        ("sampler.temperature: true\n",
+         "sampler.temperature must be a positive finite number, got True"),
+        ("sampler.temperature: -2\n",
+         "sampler.temperature must be a positive finite number, got -2"),
+        ("sampler.temperature: .inf\n",
+         "sampler.temperature must be a positive finite number, got inf")])
     def test_unusable_learner_setting_fails_cleanly(self, tmp_path, capsys,
                                                     text, message):
         """Before, more minibatches than nsteps crashed the first PPO update
         with ZeroDivisionError (an empty minibatch), and a radius that is
-        not positive ran to the end without reaching a goal."""
+        not positive ran to the end without reaching a goal. A beta of -1
+        divided by zero (NaN probabilities), an il_lr that is not a number
+        crashed training and a negative one ran imitation uphill, and a
+        temperature that is not a number raised TypeError in the check."""
         out = tmp_path / "run"
         code = cli.main(["train", "--out", str(out), "--steps", "600",
                          "--config", self.bad_config(tmp_path, text)])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -110,6 +111,53 @@ class TestPolicyInput:
         assert np.allclose(x[:4], obs)
         assert np.allclose(x[4:8], goal)
         assert np.allclose(x[8:], [1.0, -2.0, 0.0])
+
+
+INPUTS = os.path.join(os.path.dirname(__file__), "..", "benchmark", "inputs")
+
+
+class TestPolicyBlocks:
+    """The navigator's block formula gives the probabilities of the whole
+    network within rounding: fc1's product summed by policy_input block."""
+
+    @staticmethod
+    def assert_blocks_match_forward(net, views, targets, rels):
+        blocks = learner.PolicyBlocks(net)
+        for view in views:
+            for target in targets:
+                for rel in rels:
+                    want = softmax(net.forward(policy_input(view, target,
+                                                            rel))[0])[0]
+                    got = blocks.probs(view @ blocks.view,
+                                       target @ blocks.target, rel)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_committed_checkpoint(self):
+        net = load_checkpoint(os.path.join(INPUTS, "checkpoint.ckpt"))
+        with open(os.path.join(INPUTS, "graph.dgm")) as fh:
+            graph = GraphMemory.restore(fh.read())
+        env = cli.build_env(cfgmod.make_config())
+        enc = cli.build_encoder(cfgmod.make_config())
+        views = [enc.encode(env.grid.patch(x, y))
+                 for x, y in env.grid.free_cells()[::10]]
+        targets = [node.feature for node in graph.nodes.values()][::5]
+        rels = [node.pose - graph.nodes[0].pose
+                for node in graph.nodes.values()][::7]
+        self.assert_blocks_match_forward(net, views, targets, rels)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_nets(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 40))
+        net = ActorCritic(2 * dim + 3, int(rng.integers(2, 6)),
+                          hidden=tuple(int(h) for h in
+                                       rng.integers(4, 64, size=2)),
+                          seed=seed)
+        for key in net.params:  # trained-size weights and biases
+            net.params[key] = rng.normal(0.0, 0.5, net.params[key].shape)
+        unit = [v / np.linalg.norm(v) for v in rng.normal(size=(6, dim))]
+        rels = rng.uniform(-40.0, 40.0, size=(5, 3))
+        self.assert_blocks_match_forward(net, unit[:3], unit[3:], rels)
 
 
 class TestPPO:

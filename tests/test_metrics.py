@@ -26,6 +26,23 @@ def sealed_grid() -> GridMap:
     return GridMap(grid.width, grid.height, tiles)
 
 
+# A map whose free cell (5, 1) is walled in on all four sides.
+POCKET_MAP = """\
+#########
+#...#.#.#
+#.#.###.#
+#.......#
+#########
+"""
+
+
+def pocket_grid() -> GridMap:
+    """POCKET_MAP parsed without map_from_text's connectivity check."""
+    tiles = np.array([[WALL if ch == "#" else 0 for ch in row]
+                      for row in POCKET_MAP.splitlines()], np.int8).T
+    return GridMap(tiles.shape[0], tiles.shape[1], tiles)
+
+
 class TestCoverage:
     def test_tracks_fraction_of_free_cells(self, four_rooms):
         tracker = metrics.CoverageTracker(four_rooms)
@@ -158,18 +175,41 @@ class TestReport:
             metrics.build_report([])
 
 
-@pytest.mark.parametrize("grid", [make_four_rooms(0), make_maze(21, 17, 0),
-                                  sealed_grid()],
-                         ids=["four_rooms", "maze", "sealed"])
-def test_grid_distances_match_bfs(grid):
+def assert_distances_match_bfs(grid, sources):
     cells = grid.free_cells()
-    for source in cells[::20]:
+    for source in sources:
         dist = metrics.grid_distances(grid, source)
         assert dist.shape == grid.tiles.shape
         assert (dist[grid.tiles == 1] == -1).all()
         for cell in cells:
             want = metrics.grid_shortest_length(grid, cell, source)
             assert (int(dist[cell]) if dist[cell] >= 0 else None) == want
+
+
+@pytest.mark.parametrize("grid, sources", [
+    (make_four_rooms(0), slice(None, None, 20)),
+    (make_maze(21, 17, 0), slice(None, None, 20)),
+    (sealed_grid(), slice(None, None, 20)),
+    (pocket_grid(), slice(None))],  # from every cell, the pocket included
+    ids=["four_rooms", "maze", "sealed", "pocket"])
+def test_grid_distances_match_bfs(grid, sources):
+    assert_distances_match_bfs(grid, grid.free_cells()[sources])
+
+
+def test_maps_of_one_shape_never_share_a_neighbour_list():
+    """The neighbour list lives on its map: two mazes of the same shape,
+    alive together or made one after the other (which may reuse an id),
+    each get their own."""
+    first, second = make_maze(21, 17, 0), make_maze(21, 17, 1)
+    assert not np.array_equal(first.tiles, second.tiles)
+    assert first.free_neighbours() is not second.free_neighbours()
+    for grid in (first, second):
+        assert_distances_match_bfs(grid, grid.free_cells()[::40])
+    del first, second
+    for seed in range(2, 6):
+        grid = make_maze(21, 17, seed)
+        assert_distances_match_bfs(grid, grid.free_cells()[::60])
+        del grid
 
 
 def test_grid_distances_rejects_wall_source(four_rooms):

@@ -8,7 +8,7 @@ from dgmem.encoder import PatchEncoder
 from dgmem.graph import GraphMemory, NoNodesError, tree_path
 from dgmem.gridworld import (CARDINAL_ACTIONS, ORIENTATION_ACTIONS,
                              AgentState, action_effect)
-from dgmem.nn import ActorCritic, softmax
+from dgmem.nn import ActorCritic
 
 
 def unit(dim, idx):
@@ -371,15 +371,23 @@ def outcome(res):
             final.heading, final.pose_est.tobytes())
 
 
-def memo_input(key, graph, enc, patch_like):
-    """The policy input a policy-table key stands for."""
+def fresh_probs(key, graph, net, enc, patch_like):
+    """The action probabilities a policy-table key stands for, by the block
+    formula with every block product computed afresh."""
     patch_bytes, target, rel_bytes = key
-    if isinstance(target, bytes):  # final leg: the goal view
-        sub_feat = enc.encode(as_view(target, patch_like))
-    else:
-        sub_feat = graph.nodes[target].feature
-    return learner.policy_input(enc.encode(as_view(patch_bytes, patch_like)),
-                                sub_feat, np.frombuffer(rel_bytes, float))
+    blocks = learner.PolicyBlocks(net)
+    view = enc.encode(as_view(patch_bytes, patch_like))
+    return blocks.probs(view @ blocks.view,
+                        target_feature(target, graph, enc, patch_like)
+                        @ blocks.target, np.frombuffer(rel_bytes, float))
+
+
+def target_feature(target, graph, enc, patch_like):
+    """The feature of a target: a route node, or on the final leg the goal
+    view, given by its bytes."""
+    if isinstance(target, bytes):
+        return enc.encode(as_view(target, patch_like))
+    return graph.nodes[target].feature
 
 
 def as_view(view_bytes, patch_like):
@@ -397,10 +405,12 @@ def fresh_query(key, graph, enc, patch_like):
 
 SMALL_BOUNDS = {"MEMO_ENTRIES": 64, "QUERY_ENTRIES": 16,
                 "DRIFT_ENTRIES": 32, "ROUTE_ENTRIES": 8,
-                "NEIGHBOUR_ENTRIES": 16}
+                "NEIGHBOUR_ENTRIES": 16, "VIEW_ENTRIES": 16,
+                "TARGET_ENTRIES": 8, "GOAL_ENTRIES": 2}
 TABLES = {"policy": "MEMO_ENTRIES", "query": "QUERY_ENTRIES",
           "drift": "DRIFT_ENTRIES", "route": "ROUTE_ENTRIES",
-          "neighbours": "NEIGHBOUR_ENTRIES"}
+          "neighbours": "NEIGHBOUR_ENTRIES", "views": "VIEW_ENTRIES",
+          "targets": "TARGET_ENTRIES", "goals": "GOAL_ENTRIES"}
 
 
 def fresh_neighbours(key):
@@ -423,10 +433,12 @@ class TestPolicyMemo:
                                              data):
         """One memo shared by every episode gives the results of a fresh
         memo per episode and of a memo that keeps nothing, and each of its
-        entries equals a fresh computation: softmax(forward(x)) for a policy key's x, the graph
-        query and its subgoal flags, the drift offset, the weighted route
-        to every destination and the predicted next cells. Every table
-        stays within its bound."""
+        entries equals a fresh computation: the policy's block formula
+        with fresh block products, the graph query and its subgoal flags,
+        the drift offset, the weighted route to every destination, the
+        predicted next cells, a view's feature and block product, a
+        target's block product and a goal's node. Every table stays within
+        its bound."""
         cfg, graph, net, enc = trained
         env = cli.build_env(cfg, noise=noise)
         cells = env.grid.free_cells()
@@ -453,9 +465,21 @@ class TestPolicyMemo:
         for table, limit in limits.items():
             assert len(getattr(shared, table)) <= limit, table
         patch_like = env.observe(env.spawn(np.random.default_rng(0))).patch
+        blocks = learner.PolicyBlocks(net)
         for key, probs in shared.policy.items():
-            x = memo_input(key, graph, enc, patch_like)
-            assert np.array_equal(probs, softmax(net.forward(x)[0])[0])
+            assert np.array_equal(probs, fresh_probs(key, graph, net, enc,
+                                                     patch_like))
+        for key, (feat, part) in shared.views.items():
+            fresh = enc.encode(as_view(key, patch_like))
+            assert np.array_equal(feat, fresh)
+            assert np.array_equal(part, fresh @ blocks.view)
+        for target, part in shared.targets.items():
+            assert np.array_equal(part, target_feature(
+                target, graph, enc, patch_like) @ blocks.target)
+        for (view, pose), node in shared.goals.items():
+            assert node == navigator.localize_goal(
+                graph, enc.encode(as_view(view, patch_like)),
+                np.frombuffer(pose, float))
         for key, q in shared.query.items():
             fresh, _ = fresh_query(key, graph, enc, patch_like)
             assert q.nearest == fresh.nearest
@@ -487,7 +511,8 @@ class TestPolicyMemo:
         sizes = {table: len(getattr(memo, table)) for table in TABLES}
         again = run_episodes(env, graph, net, enc, pairs, 0, lambda: memo)
         assert all(sizes[t] > 0 for t in ("policy", "query", "route",
-                                          "neighbours"))
+                                          "neighbours", "views", "targets",
+                                          "goals"))
         assert sizes == {table: len(getattr(memo, table)) for table in TABLES}
         assert all(outcome(r) == outcome(first[0]) for r in again)
 

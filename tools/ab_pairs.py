@@ -27,9 +27,14 @@ checkout follows on the first seed (``--seconds 0``); the record's
 ``layers`` holds both runs' per-layer rows (``<module>.<fn>.calls``,
 ``.rows``, ``.self_s`` and the counters) and the counts that differ are
 printed.
+``--smoke`` forwards ``--smoke`` to every benchmark run: a setup-only
+control for ``setup_s`` (each side's import and input building), since a
+smoke round's work is a few seconds on tiny inputs. Its ``steps_per_s``
+does not measure a workload; the summary says so and the record stores
+``smoke``.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload navigate \\
-        --seeds 10-19 --seconds 20 --out BENCH.json [--trace 1]
+        --seeds 10-19 --seconds 20 --out BENCH.json [--trace 1] [--smoke]
 """
 from __future__ import annotations
 
@@ -42,6 +47,10 @@ import statistics
 import subprocess
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
+
+
+SMOKE_NOTE = ("smoke runs compare setup_s only; their steps_per_s does not "
+              "measure a workload")
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -131,13 +140,14 @@ def git_commit(checkout: str) -> Optional[str]:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
-             trace: int) -> Tuple[dict, dict]:
-    """(result, detail) of one benchmark run in ``checkout``: the result
-    line it prints, with the run's minor page faults added as
-    ``minor_faults``, and the detail file it writes."""
+             trace: int, smoke: bool = False) -> Tuple[dict, dict]:
+    """(result, detail) of one benchmark run in ``checkout``, with
+    ``--smoke`` when ``smoke``: the result line it prints, with the run's
+    minor page faults added as ``minor_faults``, and the detail file it
+    writes."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--trace", str(trace)] + (["--smoke"] if smoke else [])
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=True)
@@ -155,7 +165,8 @@ def traced_layers(args, counts: Sequence[str]) -> dict:
     rows, whether their round outputs agree, and the ``counts`` metrics
     whose values differ, as {name: [parent, change]}."""
     seed = args.seeds[0]
-    runs = {side: run_once(getattr(args, side), args.workload, seed, 0, 1)
+    runs = {side: run_once(getattr(args, side), args.workload, seed, 0, 1,
+                           args.smoke)
             for side in ("parent", "change")}
     rows = {side: {m: v["value"] for m, v in runs[side][0]["metrics"].items()}
             for side in runs}
@@ -189,6 +200,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--smoke", action="store_true",
+                        help="run the benchmark's smoke sizes: a control "
+                        "for setup_s, not a measure of any workload")
     parser.add_argument("--out", help="append the summary, settings and "
                         "pair rows to the runs in this JSON file")
     args = parser.parse_args(argv)
@@ -209,7 +223,8 @@ def main(argv=None) -> int:
     for n, seed in enumerate(args.seeds):
         sides = ["parent", "change"] if n % 2 == 0 else ["change", "parent"]
         runs = {side: run_once(getattr(args, side), args.workload, seed,
-                               args.seconds, 0) for side in sides}
+                               args.seconds, 0, args.smoke)
+                for side in sides}
         pair = {side: {m: runs[side][0]["metrics"][m]["value"]
                        for m in better} for side in runs}
         pair["outputs_differ"] = differing_outputs(
@@ -233,6 +248,9 @@ def main(argv=None) -> int:
     summary = summarize(pairs, better, bounds)
     summary["correct"] = sum(p["correct"] for p in pairs)
     summary["minor_faults"] = fault_stats = fault_summary(pairs)
+    if args.smoke:
+        summary["smoke"] = SMOKE_NOTE
+        print(f"smoke: {SMOKE_NOTE}")
     for name, m in summary["metrics"].items():
         print(f"{name}: parent {m['parent_median']:.4g} "
               f"({m['parent_quartiles'][0]:.4g}-{m['parent_quartiles'][1]:.4g})"
@@ -258,6 +276,7 @@ def main(argv=None) -> int:
         record = {
             "workload": args.workload, "seeds": args.seeds,
             "seconds": args.seconds, "trace": args.trace,
+            "smoke": args.smoke,
             "parent_commit": git_commit(args.parent),
             "change_commit": git_commit(args.change),
             "blas_threads": sorted(blas_threads),
