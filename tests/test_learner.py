@@ -136,8 +136,8 @@ class TestPolicyBlocks:
         net = load_checkpoint(os.path.join(INPUTS, "checkpoint.ckpt"))
         with open(os.path.join(INPUTS, "graph.dgm")) as fh:
             graph = GraphMemory.restore(fh.read())
-        env = cli.build_env(cfgmod.make_config())
-        enc = cli.build_encoder(cfgmod.make_config())
+        cfg = cfgmod.make_config()
+        env, enc = cli.build_env(cfg), cli.build_encoder(cfg)
         views = [enc.encode(env.grid.patch(x, y))
                  for x, y in env.grid.free_cells()[::10]]
         targets = [node.feature for node in graph.nodes.values()][::5]

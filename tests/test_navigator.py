@@ -371,11 +371,10 @@ def outcome(res):
             final.heading, final.pose_est.tobytes())
 
 
-def fresh_probs(key, graph, net, enc, patch_like):
+def fresh_probs(key, graph, blocks, enc, patch_like):
     """The action probabilities a policy-table key stands for, by the block
     formula with every block product computed afresh."""
     patch_bytes, target, rel_bytes = key
-    blocks = learner.PolicyBlocks(net)
     view = enc.encode(as_view(patch_bytes, patch_like))
     return blocks.probs(view @ blocks.view,
                         target_feature(target, graph, enc, patch_like)
@@ -467,7 +466,7 @@ class TestPolicyMemo:
         patch_like = env.observe(env.spawn(np.random.default_rng(0))).patch
         blocks = learner.PolicyBlocks(net)
         for key, probs in shared.policy.items():
-            assert np.array_equal(probs, fresh_probs(key, graph, net, enc,
+            assert np.array_equal(probs, fresh_probs(key, graph, blocks, enc,
                                                      patch_like))
         for key, (feat, part) in shared.views.items():
             fresh = enc.encode(as_view(key, patch_like))
