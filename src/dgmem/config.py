@@ -67,6 +67,11 @@ DEFAULTS: Dict[str, Any] = {
 }
 
 
+# keys that take a float; YAML reads a number like ``1e-4`` as a string
+FLOAT_KEYS = ({key for key, value in DEFAULTS.items()
+               if isinstance(value, float)} | {"graph.d_locate"})
+
+
 class ConfigError(ValueError):
     pass
 
@@ -88,17 +93,38 @@ def _finite(value: Any) -> bool:
             and math.isfinite(value))
 
 
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check(cfg: Dict[str, Any]) -> None:
     for key, value in cfg.items():
+        if key in FLOAT_KEYS and isinstance(value, str):
+            try:
+                cfg[key] = value = float(value)
+            except ValueError:
+                pass  # rejected below
         if isinstance(value, float) and value != value:
             raise ConfigError(f"non-finite value for {key}")
     for key in ("learner.nsteps", "learner.horizon", "learner.epochs",
                 "learner.minibatches", "learner.il_steps", "learner.il_edges",
-                "graph.prune_every"):
+                "graph.prune_every", "encoder.dim"):
         value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not _integer(value) or value < 1:
             raise ConfigError(f"{key} must be a positive integer, "
                               f"got {value!r}")
+    for key in ("seed", "encoder.seed", "env.map_seed"):
+        value = cfg[key]
+        if not _integer(value) or value < 0:
+            raise ConfigError(f"{key} must be a non-negative integer, "
+                              f"got {value!r}")
+    size = cfg["env.patch_size"]
+    if not _integer(size) or size < 1 or size % 2 == 0:
+        raise ConfigError("env.patch_size must be a positive odd integer, "
+                          f"got {size!r}")
+    if cfg["env.variant"] not in ("cardinal", "orientation"):
+        raise ConfigError("env.variant must be 'cardinal' or 'orientation', "
+                          f"got {cfg['env.variant']!r}")
     if cfg["learner.minibatches"] > cfg["learner.nsteps"]:
         # a PPO update splits its nsteps rows into minibatches; none may be
         # empty
@@ -121,6 +147,14 @@ def _check(cfg: Dict[str, Any]) -> None:
                 or value < 0):
             raise ConfigError(f"{key} must be a non-negative number, "
                               f"got {value!r}")
+    d_locate = cfg["graph.d_locate"]  # None: half the admission threshold
+    if d_locate is not None and not _finite(d_locate):
+        raise ConfigError("graph.d_locate must be a finite number or null, "
+                          f"got {d_locate!r}")
+    for key in sorted(FLOAT_KEYS - {"graph.d_locate"}):
+        if not _finite(cfg[key]):
+            raise ConfigError(f"{key} must be a finite number, "
+                              f"got {cfg[key]!r}")
 
 
 def loads(text: str) -> Dict[str, Any]:

@@ -25,15 +25,15 @@ pose estimate.
 
 During an evaluation the network is frozen, the graph is read-only and the
 encoder is deterministic, so every decision is a function of what the agent
-sees and believes: the policy's action probabilities of (current
-view, target, relative pose), where the target is a route node or, on the
-final leg, the goal view; the step's graph query of (view, pose estimate),
-and with it the per-node subgoal flags of its arrival radius; the drift
-correction of that query and its radius; the route between two nodes, read
-by walking up one Dijkstra tree per source node; the cells each action
-is predicted to reach from a (pose cell, variant, heading); and the goal
-node of a goal's (view, pose). ``execute`` keeps each of these in a
-``Memo`` and computes an entry only on a miss.
+sees and believes. A step's situation is its (view, pose estimate): the
+graph query of that pair decides the subgoal flags of an arrival radius
+and the drift correction of a matching radius, and, with the leg (a route
+node, or on the final leg the goal's view and pose), the policy's action
+probabilities; with the heading in the pose estimate it fixes the cell
+each action is predicted to reach. ``execute`` keeps these answers on one
+``Memo.query`` entry per situation, beside the memo's tables of views,
+targets, routes (one Dijkstra tree per source node, walked up to any
+destination) and goal nodes, and computes an answer only on a miss.
 
 A policy miss does not run the whole network on the concatenated input:
 ``learner.PolicyBlocks`` splits ``fc1`` by the input's blocks, so the memo
@@ -42,11 +42,12 @@ target-block product, and a miss adds them to the pose block's small
 product before the rest of the trunk. The probabilities equal the whole
 network's within rounding (about 1e-14 relative).
 
-One evaluation run over fixed artifacts may share one memo across its
-episodes; anything that trains or writes the graph may not, since every
-table, the block products included, holds answers of the network, graph
-and encoder it was filled with. Under odometry noise the pose rarely
-repeats, so each table stops taking entries at its bound.
+A memo is valid for one (network, graph, encoder, env variant): one
+evaluation run over fixed artifacts may share it across its episodes;
+anything that trains or writes the graph may not, since every table, the
+block products included, holds answers of what it was filled with. Under
+odometry noise the pose rarely repeats, so each table stops taking entries
+at its bound.
 """
 from __future__ import annotations
 
@@ -62,28 +63,26 @@ from .gridworld import (CARDINAL_ACTIONS, ORIENTATION_ACTIONS, AgentState,
 from .learner import PolicyBlocks
 from .nn import ActorCritic
 
-# Bounds of the Memo tables. On the benchmark graph (71 nodes) a policy
-# entry takes about 0.4 KB, a graph query about 3 KB, a route tree about
-# 2.3 KB, a neighbour entry about 0.7 KB, a view or a target entry about
-# 4.2 KB (a 512-wide block product; a view's feature is the encoder's own
-# array) and a goal entry about 0.2 KB. A noise-free 1000-episode FourRooms
-# evaluation needs about 2.2k policy entries, 256 queries, 1.5k drift
-# fixes, 71 route trees (one per source node; at most one per graph node
-# at any noise), 256 neighbour entries, 251 views, 314 targets (nodes and
-# goal views) and 250 goals. Views, targets and goals do not depend on the
-# pose estimate, so odometry noise leaves them at these counts (about
-# 2.4 MB); under noise every other table but the routes fills, adding
-# about 7 MB. A route tree is a full Dijkstra, about twice a search that
-# stops at its destination, so it pays off from the second route out of
-# its source; on a graph with more source nodes than ROUTE_ENTRIES, each
-# route miss after the table fills builds a tree that is not kept. In the
-# FourRooms evaluation above the neighbour table answers 98% of lookups
-# noise-free, 9% at eval.noise 0.3.
-MEMO_ENTRIES = 1 << 13
+# Bounds of the Memo tables. On the benchmark graph (71 nodes) a query
+# entry takes about 2.6 KB for its graph query and subgoal flags, plus
+# about 0.25 KB per policy answer (one per leg decided there) and 0.1 KB
+# per drift offset (one per radius, at most 21); a route tree takes about
+# 2.2 KB, a view entry about 5.3 KB (its feature and a 512-wide block
+# product), a target entry about 4.2 KB and a goal entry about 0.1 KB. A
+# noise-free 1000-episode FourRooms evaluation needs 256 query entries
+# (holding 2.2k policy answers and 1.5k drift offsets, 6 KB each on
+# average), 71 route trees (one per source node; at most one per graph
+# node at any noise), 251 views, 314 targets (nodes and goal views) and
+# 250 goals, about 4.4 MB in all. Views, targets and goals do not depend on
+# the pose estimate, so odometry noise leaves them at these counts; at
+# eval.noise 0.3 the query table fills (about 1.9 MB) and answers 0.1% of
+# lookups, against 99% noise-free. A route tree is a full Dijkstra, about
+# twice a search that stops at its destination, so it pays off from the
+# second route out of its source; on a graph with more source nodes than
+# ROUTE_ENTRIES, each route miss after the table fills builds a tree that
+# is not kept.
 QUERY_ENTRIES = 1 << 9
-DRIFT_ENTRIES = 1 << 11
 ROUTE_ENTRIES = 1 << 8
-NEIGHBOUR_ENTRIES = 1 << 11
 VIEW_ENTRIES = 1 << 11
 TARGET_ENTRIES = 1 << 10
 GOAL_ENTRIES = 1 << 10
@@ -123,7 +122,8 @@ def localize_goal(graph: GraphMemory, goal_feat: np.ndarray,
 
 @dataclass
 class _Query:
-    """One graph query for a (feature, pose estimate); entry i is node i."""
+    """One graph query for a (feature, pose estimate), entry i of each array
+    being node i, and the decisions taken in that situation."""
     combined: np.ndarray  # the graph's localization score
     d_vis: np.ndarray  # negative feature cosine
     planar: np.ndarray  # (x, y) distance to the pose estimate
@@ -132,6 +132,13 @@ class _Query:
     # last served, see _advance_cursor
     radius: Optional[float] = None
     satisfied: List[bool] = field(default_factory=list)
+    # _drift_correction's offset or None, by drift radius
+    drift: Dict[float, Optional[np.ndarray]] = field(default_factory=dict)
+    # the cell each action is predicted to reach from the pose estimate
+    nbrs: Optional[tuple] = None
+    # action probabilities by leg: the target route node, or on the final
+    # leg the goal's (view bytes, pose bytes)
+    policy: dict = field(default_factory=dict)
 
 
 def _query(graph: GraphMemory, feat: np.ndarray, pose: np.ndarray) -> _Query:
@@ -144,30 +151,23 @@ def _query(graph: GraphMemory, feat: np.ndarray, pose: np.ndarray) -> _Query:
 
 
 class Memo:
-    """Bounded tables of evaluation answers, one per kind of decision.
+    """Bounded tables of evaluation answers for one (network, graph,
+    encoder, env variant); see the module docstring.
 
-    ``policy`` maps (view bytes, target, relative-pose bytes) to the action
-    probabilities as floats, ``query`` maps (view bytes, pose bytes) to a
-    ``_Query`` (which keeps its per-node subgoal flags for the arrival
-    radius it last served), ``drift`` maps (that key, radius) to
-    ``_drift_correction``'s offset or None, ``route`` maps a source node to
-    its ``GraphMemory.weighted_tree``, whose walk to any destination is the
-    ``weighted_path`` route, and ``neighbours`` maps (pose cell, variant,
-    heading) to the cell each action is predicted to reach. ``views`` maps
-    view bytes to (feature, view-block product), ``targets`` maps a route
-    node or the goal view's bytes to its target-block product (see
-    ``learner.PolicyBlocks``), and ``goals`` maps (goal view bytes, goal
-    pose bytes) to the ``localize_goal`` node. Valid only under the
-    contract in the module docstring; each table takes no entries beyond
-    its bound.
+    ``query`` maps a situation's (view bytes, pose bytes) to its ``_Query``,
+    which keeps the subgoal flags, drift offsets, predicted next cells and
+    action probabilities decided there. ``route`` maps a source node to its
+    ``GraphMemory.weighted_tree``, whose walk to any destination is the
+    ``weighted_path`` route. ``views`` maps view bytes to (feature,
+    view-block product), ``targets`` maps a route node or the goal view's
+    bytes to its target-block product (see ``learner.PolicyBlocks``), and
+    ``goals`` maps (goal view bytes, goal pose bytes) to the
+    ``localize_goal`` node. Each table takes no entries beyond its bound.
     """
 
     def __init__(self):
-        self.policy: dict = {}
         self.query: dict = {}
-        self.drift: dict = {}
         self.route: dict = {}
-        self.neighbours: dict = {}
         self.views: dict = {}
         self.targets: dict = {}
         self.goals: dict = {}
@@ -175,9 +175,6 @@ class Memo:
     def sizes(self) -> Dict[str, int]:
         """Entry count of each table, by table name."""
         return {name: len(table) for name, table in vars(self).items()}
-
-
-_MISSING = object()
 
 
 def _keep(table: dict, bound: int, key, value) -> None:
@@ -219,29 +216,22 @@ _MOVES = {(variant, heading): tuple(action_effect(variant, a, heading)[:2]
           for heading in range(4)}
 
 
-def _select_action(probs: Sequence[float], pose: np.ndarray, variant: str,
+def _select_action(probs: Sequence[float], nbrs: Sequence[tuple],
                    visits: dict, blocked: dict, revisit_penalty: float,
-                   cell: Tuple[float, float], memo: Memo) -> int:
+                   cell: Tuple[float, float]) -> int:
     """Score each action and return the first argmax.
 
     score(a) = policy probability ``probs[a]`` - revisit_penalty * prior
-    visits of the predicted next cell - a large penalty if the action
-    collided from this cell before. The prediction uses only the agent's
-    own pose estimate and the known action displacements of the ``variant``
-    (at the estimated heading); the penalties carry no information about
-    the goal direction, so all goal-seeking comes from the policy.
-    ``cell`` is ``_pose_cell(pose)``; ``memo`` keeps the predicted next
-    cells of each (cell, variant, heading).
+    visits of the predicted next cell ``nbrs[a]`` - a large penalty if the
+    action collided from ``cell``, the current pose cell, before. The
+    prediction uses only the agent's own pose estimate and the known action
+    displacements of the env variant (at the estimated heading); the
+    penalties carry no information about the goal direction, so all
+    goal-seeking comes from the policy.
     """
-    key = (cell, variant, int(round(float(pose[2]))) % 4)
-    nbrs = memo.neighbours.get(key)
-    if nbrs is None:
-        nbrs = tuple((round(cell[0] + dx, 1), round(cell[1] + dy, 1))
-                     for dx, dy in _MOVES[key[1:]])
-        _keep(memo.neighbours, NEIGHBOUR_ENTRIES, key, nbrs)
     if len(probs) > len(nbrs):
         raise ValueError(f"{len(probs)} action probabilities for the "
-                         f"{len(nbrs)} actions of the {variant} variant")
+                         f"{len(nbrs)} actions of the env variant")
     tried = blocked.get(cell, ())
     best, best_score = 0, None
     for action in range(len(probs)):
@@ -321,14 +311,14 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         return (float(goal_feat @ feat) >= 0.999 and float(np.linalg.norm(
             np.asarray(pose)[:2] - goal_pose[:2])) < success_radius + 1.5)
 
-    def _look(view_key: bytes, feat, pose) -> Tuple[tuple, _Query]:
-        """The graph query for the current view and pose, and its key."""
+    def _look(view_key: bytes, feat, pose) -> _Query:
+        """The situation entry of the current view and pose."""
         key = (view_key, pose.tobytes())
         q = memo.query.get(key)
         if q is None:
             q = _query(graph, feat, pose)
             _keep(memo.query, QUERY_ENTRIES, key, q)
-        return key, q
+        return q
 
     def _route(src: int, dst: int) -> List[int]:
         tree = memo.route.get(src)
@@ -347,7 +337,8 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     # from re-anchoring on visually recognized memory nodes
     corr = np.zeros_like(np.asarray(start_obs.pose_est, float))
     pose = np.asarray(obs.pose_est, float) + corr
-    _, q = _look(view_key, feat, pose)
+    q = _look(view_key, feat, pose)
+    # the goal's key, and the final leg's
     goal = (goal_key, goal_pose.tobytes())
     goal_node = memo.goals.get(goal)
     if goal_node is None:
@@ -367,29 +358,31 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     visits: dict = {}
     blocked: dict = {}
     while steps < max_steps:
-        if plan.cursor < len(plan.route):
-            target = plan.route[plan.cursor]
-            sub = graph.nodes[target]
-            sub_feat, sub_pose = sub.feature, sub.pose
-        else:
-            target, sub_feat, sub_pose = goal_key, goal_feat, goal_pose
-
-        cell = _pose_cell(pose)
-        visits[cell] = visits.get(cell, 0) + 1
-        rel = sub_pose - pose
-        # the policy input is a function of this key: feat of the view,
-        # sub_feat of the target, and rel itself
-        key = (view_key, target, rel.tobytes())
-        probs = memo.policy.get(key)
+        # q is the entry of (view, pose): with the leg it fixes the policy
+        # input (feat of the view, the target's feature, its pose - pose)
+        on_route = plan.cursor < len(plan.route)
+        leg = plan.route[plan.cursor] if on_route else goal
+        probs = q.policy.get(leg)
         if probs is None:
+            if on_route:
+                sub = graph.nodes[leg]
+                target, sub_feat, sub_pose = leg, sub.feature, sub.pose
+            else:
+                target, sub_feat, sub_pose = goal_key, goal_feat, goal_pose
             target_part = memo.targets.get(target)
             if target_part is None:
                 target_part = sub_feat @ blocks.target
                 _keep(memo.targets, TARGET_ENTRIES, target, target_part)
-            probs = tuple(blocks.probs(view_part, target_part, rel).tolist())
-            _keep(memo.policy, MEMO_ENTRIES, key, probs)
-        action = _select_action(probs, pose, env.variant, visits, blocked,
-                                revisit_penalty, cell, memo)
+            probs = q.policy[leg] = tuple(
+                blocks.probs(view_part, target_part, sub_pose - pose).tolist())
+        cell = _pose_cell(pose)
+        visits[cell] = visits.get(cell, 0) + 1
+        if q.nbrs is None:
+            heading = int(round(float(pose[2]))) % 4
+            q.nbrs = tuple((round(cell[0] + dx, 1), round(cell[1] + dy, 1))
+                           for dx, dy in _MOVES[env.variant, heading])
+        action = _select_action(probs, q.nbrs, visits, blocked,
+                                revisit_penalty, cell)
         state, obs = env.step(state, action, rng)
         view_key, feat, view_part = _view(obs.patch)
         steps += 1
@@ -398,18 +391,17 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             blocked.setdefault(cell, set()).add(action)
 
         pose = np.asarray(obs.pose_est, float) + corr
-        query_key, q = _look(view_key, feat, pose)
+        q = _look(view_key, feat, pose)
         # widen the matching prior as uncorrected steps accumulate, since
         # drift grows with time since the last re-anchor
         radius = min(3.0 + 0.25 * steps_since_fix, 8.0)
-        offset = memo.drift.get((query_key, radius), _MISSING)
-        if offset is _MISSING:
-            offset = _drift_correction(graph, q, pose, radius=radius)
-            _keep(memo.drift, DRIFT_ENTRIES, (query_key, radius), offset)
+        if radius not in q.drift:
+            q.drift[radius] = _drift_correction(graph, q, pose, radius=radius)
+        offset = q.drift[radius]
         if offset is not None:
             corr = corr + offset
             pose = np.asarray(obs.pose_est, float) + corr
-            _, q = _look(view_key, feat, pose)
+            q = _look(view_key, feat, pose)
             steps_since_fix = 0
         else:
             steps_since_fix += 1

@@ -365,3 +365,76 @@ def test_run_once_passes_smoke_to_the_benchmark(tmp_path, monkeypatch):
     ab_pairs.run_once(str(tmp_path), "train", 3, 0, 0)
     assert commands[0][-1] == "--smoke"
     assert "--smoke" not in commands[1]
+
+
+def test_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch, capsys):
+    """A run that exits non-zero is named with the tail of its stderr; the
+    pairs before it are summarised and recorded with a ``failed_run``
+    entry, no trace follows, and the exit status is 1."""
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace, smoke=False):
+        calls.append((os.path.basename(checkout), seed, trace))
+        if seed == 2 and checkout.endswith("change"):
+            stderr = "".join(f"line {i}\n" for i in range(30))
+            raise ab_pairs.RunFailed(checkout, seed, 3, stderr)
+        return fake_run(checkout, workload, seed, seconds, trace)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main([str(dirs["parent"]), str(dirs["change"]),
+                          "--workload", "train", "--seeds", "0-3",
+                          "--seconds", "0", "--trace", "1",
+                          "--out", str(out)]) == 1
+    assert calls[-1] == ("change", 2, 0)  # no later pair and no trace
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("run failed: seed 2, change, exit code 3; stderr ends:")
+    assert lines[at + 1:at + 21] == [f"line {i}" for i in range(10, 30)]
+    assert any(line.startswith("steps_per_s: parent") for line in lines)
+    assert json.loads(lines[-1])["pairs"] == 2
+    record, = json.loads(out.read_text())["runs"]
+    assert [r["seed"] for r in record["rows"]] == [0, 1]
+    assert record["summary"]["metrics"]["steps_per_s"]["wins"] == 2
+    assert record["failed_run"] == {
+        "seed": 2, "side": "change", "exit_code": 3,
+        "stderr_tail": [f"line {i}" for i in range(10, 30)]}
+    assert "layers" not in record
+
+
+def test_failed_first_run_records_no_pairs(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
+
+    def run(checkout, workload, seed, seconds, trace, smoke=False):
+        raise ab_pairs.RunFailed(checkout, seed, 1, "Traceback\nboom\n")
+
+    monkeypatch.setattr(ab_pairs, "run_once", run)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main([str(tmp_path), str(tmp_path / "change"),
+                          "--workload", "train", "--seeds", "5",
+                          "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
+        "pairs": 0}
+    record, = json.loads(out.read_text())["runs"]
+    assert record["rows"] == [] and record["failed_run"]["side"] == "parent"
+    assert record["failed_run"]["stderr_tail"] == ["Traceback", "boom"]
+
+
+def test_run_once_raises_on_a_failed_run(tmp_path, monkeypatch):
+    def run(cmd, **kwargs):
+        assert kwargs["check"] is True
+        raise ab_pairs.subprocess.CalledProcessError(
+            2, cmd, output="", stderr="a\nb\n")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    with pytest.raises(ab_pairs.RunFailed) as info:
+        ab_pairs.run_once(str(tmp_path), "navigate", 4, 0, 0)
+    assert (info.value.checkout, info.value.seed, info.value.code) == (
+        str(tmp_path), 4, 2)
+    assert info.value.stderr_tail == ["a", "b"]

@@ -112,10 +112,9 @@ class TestCliCommands:
                 "mean_replans", "memo_entries"} <= set(summary)
         # entries of each navigator.Memo table after the evaluation
         sizes = summary["memo_entries"]
-        assert set(sizes) == {"policy", "query", "drift", "route",
-                              "neighbours", "views", "targets", "goals"}
+        assert set(sizes) == {"query", "route", "views", "targets", "goals"}
         assert all(isinstance(n, int) and n >= 0 for n in sizes.values())
-        assert sizes["policy"] > 0 and sizes["query"] > 0
+        assert sizes["query"] > 0 and sizes["targets"] > 0
         # one goal node per distinct goal, at most one per episode
         assert 0 < sizes["goals"] <= 5 and sizes["views"] > 0
         assert 0 < sizes["route"] <= len(GraphMemory.restore(
@@ -425,6 +424,50 @@ class TestCliCommands:
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("env.variant: diag\n",
+         "env.variant must be 'cardinal' or 'orientation', got 'diag'"),
+        ("env.patch_size: 4\n",
+         "env.patch_size must be a positive odd integer, got 4"),
+        ("env.patch_size: 0\n",
+         "env.patch_size must be a positive odd integer, got 0"),
+        ("encoder.dim: 0\n", "encoder.dim must be a positive integer, got 0"),
+        ("seed: -1\n", "seed must be a non-negative integer, got -1"),
+        ("encoder.seed: -1\n",
+         "encoder.seed must be a non-negative integer, got -1"),
+        ("env.map_seed: 1.5\n",
+         "env.map_seed must be a non-negative integer, got 1.5"),
+        ("graph.d_locate: x\n",
+         "graph.d_locate must be a finite number or null, got 'x'"),
+        ("learner.clip: abc\n", "learner.clip must be a finite number, "
+         "got 'abc'")])
+    def test_unusable_setup_setting_fails_cleanly(self, tmp_path, capsys,
+                                                  text, message):
+        """Before, each of these ended in a traceback from the library's own
+        checks (``GridEnv``, ``PatchEncoder``, NumPy's seeding, ``float()``)
+        with exit 1, or, for ``env.map_seed: 1.5``, ran a truncated seed."""
+        out = tmp_path / "run"
+        code = cli.main(["train", "--out", str(out), "--steps", "600",
+                         "--config", self.bad_config(tmp_path, text)])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(cfgmod.FLOAT_KEYS))
+    def test_float_key_reads_exponent_and_rejects_text(self, tmp_path,
+                                                       capsys, key):
+        """YAML reads ``2e-1`` (no dot) as a string; every float key takes
+        it as 0.2, and text that is not a number exits 2."""
+        cfg = cfgmod.loads(f"{key}: 2e-1\n")
+        assert type(cfg[key]) is float and cfg[key] == 0.2
+        assert cfgmod.loads(cfgmod.dumps(cfg)) == cfg
+        code = cli.main(["explore", "--agent", "random", "--steps", "5",
+                         "--config", self.bad_config(tmp_path,
+                                                     f"{key}: abc\n")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be" in err and "got 'abc'" in err
 
     def test_minibatches_up_to_nsteps_train(self, tmp_path):
         """The bounds are inclusive: one-row minibatches train."""

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,7 +263,7 @@ class TestVectorisedMatchesReference:
 
 def ref_select_action(probs, pose, variant, visits, blocked,
                       revisit_penalty):
-    """``_select_action`` as it was before the neighbour table."""
+    """``_select_action`` computing its next cells from the pose."""
     actions = CARDINAL_ACTIONS if variant == "cardinal" else ORIENTATION_ACTIONS
     heading = int(round(float(pose[2]))) % 4
     moves = [action_effect(variant, a, heading)[:2] for a in actions]
@@ -308,47 +310,74 @@ def action_cases(draw):
 class TestSelectActionMatchesReference:
     @given(action_cases())
     @settings(max_examples=400, deadline=None)
-    def test_table_miss_and_hit(self, case):
+    def test_matches_reference(self, case):
+        """Given the predicted next cells of its pose and variant,
+        ``_select_action`` picks the reference's action."""
         probs, pose, variant, visits, blocked, penalty = case
-        args = (probs, pose, variant, visits, blocked, penalty,
-                navigator._pose_cell(pose))
-        memo = navigator.Memo()
+        cell = navigator._pose_cell(pose)
+        nbrs = fresh_neighbours(cell, variant, pose)
         try:
-            want = ref_select_action(*args[:-1])
+            want = ref_select_action(probs, pose, variant, visits, blocked,
+                                     penalty)
         except ValueError:
             with pytest.raises(ValueError):
-                navigator._select_action(*args, memo)
+                navigator._select_action(probs, nbrs, visits, blocked,
+                                         penalty, cell)
             return
-        assert navigator._select_action(*args, memo) == want  # miss
-        assert navigator._select_action(*args, memo) == want  # hit
-        assert len(memo.neighbours) == 1
-
-    def test_neighbour_table_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(navigator, "NEIGHBOUR_ENTRIES", 3)
-        memo = navigator.Memo()
-        for x in range(6):
-            pose = np.array([x + 0.04, 1.0, 0.0])
-            assert navigator._select_action(
-                [0.3, 0.3, 0.2, 0.2], pose, "cardinal", {}, {}, 0.1,
-                navigator._pose_cell(pose), memo) == 0
-        assert list(memo.neighbours) == [((x + 0.0, 1.0), "cardinal", 0)
-                                         for x in range(3)]
+        assert navigator._select_action(probs, nbrs, visits, blocked,
+                                        penalty, cell) == want
 
 
-# -- the policy memo ------------------------------------------------------------
+def fresh_neighbours(cell, variant, pose):
+    """The cell each action of ``variant`` is predicted to reach from
+    ``cell`` at the heading of ``pose``."""
+    heading = int(round(float(pose[2]))) % 4
+    actions = CARDINAL_ACTIONS if variant == "cardinal" else ORIENTATION_ACTIONS
+    return tuple((round(cell[0] + dx, 1), round(cell[1] + dy, 1))
+                 for dx, dy, _ in (action_effect(variant, a, heading)
+                                   for a in actions))
 
-@pytest.fixture(scope="module", params=["four_rooms", "maze"])
-def trained(request):
-    """(cfg, graph, net, encoder) after a short training run on one map."""
-    cfg = cfgmod.make_config({"env.map": request.param, "seed": 0,
-                              "learner.total_steps": 1000})
+
+# -- the evaluation memo -------------------------------------------------------
+
+INPUTS = os.path.join(os.path.dirname(__file__), "..", "benchmark", "inputs")
+
+
+def train_briefly(overrides):
+    """(cfg, graph, net, encoder) after a short training run."""
+    cfg = cfgmod.make_config({"seed": 0, "learner.total_steps": 1000,
+                              **overrides})
     graph = cli.build_graph(cfg)
     enc = cli.build_encoder(cfg)
     result = learner.training_loop(cli.build_env(cfg), graph, enc, cfg)
     return cfg, graph, result.net, enc
 
 
-def run_episodes(env, graph, net, enc, pairs, seed, memo_for):
+@pytest.fixture(scope="module", params=["four_rooms", "maze"])
+def trained(request):
+    """(cfg, graph, net, encoder) after a short training run on one map."""
+    return train_briefly({"env.map": request.param})
+
+
+@pytest.fixture(scope="module")
+def trained_orientation():
+    """``trained`` on FourRooms under the orientation variant."""
+    return train_briefly({"env.variant": "orientation"})
+
+
+@pytest.fixture(scope="module")
+def committed():
+    """(env, graph, net, encoder) of the committed benchmark inputs."""
+    cfg = cfgmod.make_config()
+    with open(os.path.join(INPUTS, "graph.dgm")) as fh:
+        graph = GraphMemory.restore(fh.read())
+    return (cli.build_env(cfg), graph,
+            learner.load_checkpoint(os.path.join(INPUTS, "checkpoint.ckpt")),
+            cli.build_encoder(cfg))
+
+
+def run_episodes(env, graph, net, enc, pairs, seed, memo_for, max_steps=60,
+                 subgoal_budget=15):
     """Episodes set up as ``cli.run_eval`` sets them up, in order, on one
     rng; ``memo_for()`` gives each episode's memo."""
     ox, oy = graph.origin[0], graph.origin[1]
@@ -361,7 +390,8 @@ def run_episodes(env, graph, net, enc, pairs, seed, memo_for):
                                                         0.0]))
         results.append(navigator.execute(
             env, state, graph, net, enc, env.observe(state), goal_obs, rng,
-            max_steps=60, subgoal_budget=15, memo=memo_for()))
+            max_steps=max_steps, subgoal_budget=subgoal_budget,
+            memo=memo_for()))
     return results
 
 
@@ -371,14 +401,23 @@ def outcome(res):
             final.heading, final.pose_est.tobytes())
 
 
-def fresh_probs(key, graph, blocks, enc, patch_like):
-    """The action probabilities a policy-table key stands for, by the block
-    formula with every block product computed afresh."""
-    patch_bytes, target, rel_bytes = key
-    view = enc.encode(as_view(patch_bytes, patch_like))
-    return blocks.probs(view @ blocks.view,
-                        target_feature(target, graph, enc, patch_like)
-                        @ blocks.target, np.frombuffer(rel_bytes, float))
+def as_view(view_bytes, patch_like):
+    return np.frombuffer(view_bytes, patch_like.dtype).reshape(
+        patch_like.shape)
+
+
+def fresh_probs(view, pose, leg, graph, blocks, enc, patch_like):
+    """The action probabilities of a situation's view feature and pose on a
+    leg (a route node, or the goal's (view bytes, pose bytes)), by the
+    block formula with every block product computed afresh."""
+    if isinstance(leg, tuple):
+        goal_view, goal_pose = leg
+        target = enc.encode(as_view(goal_view, patch_like))
+        target_pose = np.frombuffer(goal_pose, float)
+    else:
+        target, target_pose = graph.nodes[leg].feature, graph.nodes[leg].pose
+    return blocks.probs(view @ blocks.view, target @ blocks.target,
+                        target_pose - pose)
 
 
 def target_feature(target, graph, enc, patch_like):
@@ -389,39 +428,97 @@ def target_feature(target, graph, enc, patch_like):
     return graph.nodes[target].feature
 
 
-def as_view(view_bytes, patch_like):
-    return np.frombuffer(view_bytes, patch_like.dtype).reshape(
-        patch_like.shape)
-
-
-def fresh_query(key, graph, enc, patch_like):
-    """The graph query a query-table key stands for, and its pose."""
-    view_bytes, pose_bytes = key
-    pose = np.frombuffer(pose_bytes, float)
-    return navigator._query(graph, enc.encode(as_view(view_bytes, patch_like)),
-                            pose), pose
-
-
-SMALL_BOUNDS = {"MEMO_ENTRIES": 64, "QUERY_ENTRIES": 16,
-                "DRIFT_ENTRIES": 32, "ROUTE_ENTRIES": 8,
-                "NEIGHBOUR_ENTRIES": 16, "VIEW_ENTRIES": 16,
+SMALL_BOUNDS = {"QUERY_ENTRIES": 64, "ROUTE_ENTRIES": 8, "VIEW_ENTRIES": 16,
                 "TARGET_ENTRIES": 8, "GOAL_ENTRIES": 2}
-TABLES = {"policy": "MEMO_ENTRIES", "query": "QUERY_ENTRIES",
-          "drift": "DRIFT_ENTRIES", "route": "ROUTE_ENTRIES",
-          "neighbours": "NEIGHBOUR_ENTRIES", "views": "VIEW_ENTRIES",
-          "targets": "TARGET_ENTRIES", "goals": "GOAL_ENTRIES"}
+TABLES = {"query": "QUERY_ENTRIES", "route": "ROUTE_ENTRIES",
+          "views": "VIEW_ENTRIES", "targets": "TARGET_ENTRIES",
+          "goals": "GOAL_ENTRIES"}
 
 
-def fresh_neighbours(key):
-    """The predicted next cells a neighbour-table key stands for."""
-    (x, y), variant, heading = key
-    actions = CARDINAL_ACTIONS if variant == "cardinal" else ORIENTATION_ACTIONS
-    return tuple((round(x + dx, 1), round(y + dy, 1)) for dx, dy, _ in
-                 (action_effect(variant, a, heading) for a in actions))
+def entry_counts(memo):
+    """Entries of each table, and the policy, drift and next-cell answers
+    kept on the query entries."""
+    counts = {table: len(getattr(memo, table)) for table in TABLES}
+    entries = memo.query.values()
+    counts["policy"] = sum(len(q.policy) for q in entries)
+    counts["drift"] = sum(len(q.drift) for q in entries)
+    counts["nbrs"] = sum(q.nbrs is not None for q in entries)
+    return counts
+
+
+def check_shared_memo(trained, noise, bounds, data):
+    """One memo shared by every episode gives the results of a fresh memo
+    per episode and of a memo that keeps nothing, and each of its entries
+    equals a fresh computation: the graph query with its subgoal flags,
+    drift offsets, predicted next cells and the policy's block formula
+    with fresh block products on each leg; the weighted route to every
+    destination, a view's feature and block product, a target's block
+    product and a goal's node. Every table stays within its bound."""
+    cfg, graph, net, enc = trained
+    env = cli.build_env(cfg, noise=noise)
+    cells = env.grid.free_cells()
+    cell = st.sampled_from(cells)
+    pairs = data.draw(st.lists(st.tuples(cell, cell), min_size=1,
+                               max_size=6))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    shared = navigator.Memo()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, bound in (bounds or {}).items():
+            mp.setattr(navigator, name, bound)
+        got = run_episodes(env, graph, net, enc, pairs, seed, lambda: shared)
+        want = run_episodes(env, graph, net, enc, pairs, seed, navigator.Memo)
+        limits = {table: getattr(navigator, name)
+                  for table, name in TABLES.items()}
+        for name in TABLES.values():
+            mp.setattr(navigator, name, 0)  # nothing kept: all fresh
+        uncached = run_episodes(env, graph, net, enc, pairs, seed,
+                                navigator.Memo)
+    assert [outcome(r) for r in got] == [outcome(r) for r in want]
+    assert [outcome(r) for r in got] == [outcome(r) for r in uncached]
+    for table, limit in limits.items():
+        assert len(getattr(shared, table)) <= limit, table
+    patch_like = env.observe(env.spawn(np.random.default_rng(0))).patch
+    blocks = learner.PolicyBlocks(net)
+    for key, (feat, part) in shared.views.items():
+        fresh = enc.encode(as_view(key, patch_like))
+        assert np.array_equal(feat, fresh)
+        assert np.array_equal(part, fresh @ blocks.view)
+    for target, part in shared.targets.items():
+        assert np.array_equal(part, target_feature(
+            target, graph, enc, patch_like) @ blocks.target)
+    for (view, pose), node in shared.goals.items():
+        assert node == navigator.localize_goal(
+            graph, enc.encode(as_view(view, patch_like)),
+            np.frombuffer(pose, float))
+    for (view_bytes, pose_bytes), q in shared.query.items():
+        view = enc.encode(as_view(view_bytes, patch_like))
+        pose = np.frombuffer(pose_bytes, float)
+        fresh = navigator._query(graph, view, pose)
+        assert q.nearest == fresh.nearest
+        for column in ("combined", "d_vis", "planar"):
+            assert np.array_equal(getattr(q, column), getattr(fresh, column))
+        if q.radius is not None:  # served by _advance_cursor
+            assert q.satisfied == [
+                bool(c < graph.d_locate or p < q.radius)
+                for c, p in zip(fresh.combined, fresh.planar)]
+        for radius, offset in q.drift.items():
+            want = navigator._drift_correction(graph, fresh, pose,
+                                               radius=radius)
+            assert (offset is None) == (want is None)
+            assert offset is None or np.array_equal(offset, want)
+        if q.nbrs is not None:
+            assert q.nbrs == fresh_neighbours(navigator._pose_cell(pose),
+                                              env.variant, pose)
+        for leg, probs in q.policy.items():
+            assert np.array_equal(probs, fresh_probs(
+                view, pose, leg, graph, blocks, enc, patch_like))
+    for src, tree in shared.route.items():
+        for dst in graph.nodes:
+            assert tree_path(tree, dst) == graph.weighted_path(src, dst)
 
 
 class TestPolicyMemo:
-    # ids: noise, then the policy bound (None: the module's bounds)
+    # ids: noise, then the query bound (None: the module's bounds)
     @pytest.mark.parametrize("noise, bounds", [
         pytest.param(0.0, None, id="0.0-None"),
         pytest.param(0.0, SMALL_BOUNDS, id="0.0-64"),
@@ -430,75 +527,39 @@ class TestPolicyMemo:
     @settings(max_examples=15, deadline=None)
     def test_shared_memo_matches_fresh_memos(self, trained, noise, bounds,
                                              data):
-        """One memo shared by every episode gives the results of a fresh
-        memo per episode and of a memo that keeps nothing, and each of its
-        entries equals a fresh computation: the policy's block formula
-        with fresh block products, the graph query and its subgoal flags,
-        the drift offset, the weighted route to every destination, the
-        predicted next cells, a view's feature and block product, a
-        target's block product and a goal's node. Every table stays within
-        its bound."""
-        cfg, graph, net, enc = trained
-        env = cli.build_env(cfg, noise=noise)
-        cells = env.grid.free_cells()
-        cell = st.sampled_from(cells)
-        pairs = data.draw(st.lists(st.tuples(cell, cell), min_size=1,
-                                   max_size=6))
-        seed = data.draw(st.integers(0, 2 ** 16))
-        shared = navigator.Memo()
-        with pytest.MonkeyPatch.context() as mp:
-            for name, bound in (bounds or {}).items():
-                mp.setattr(navigator, name, bound)
-            got = run_episodes(env, graph, net, enc, pairs, seed,
-                               lambda: shared)
-            want = run_episodes(env, graph, net, enc, pairs, seed,
-                                navigator.Memo)
-            limits = {table: getattr(navigator, name)
-                      for table, name in TABLES.items()}
-            for name in TABLES.values():
-                mp.setattr(navigator, name, 0)  # nothing kept: all fresh
-            uncached = run_episodes(env, graph, net, enc, pairs, seed,
-                                    navigator.Memo)
-        assert [outcome(r) for r in got] == [outcome(r) for r in want]
-        assert [outcome(r) for r in got] == [outcome(r) for r in uncached]
-        for table, limit in limits.items():
-            assert len(getattr(shared, table)) <= limit, table
-        patch_like = env.observe(env.spawn(np.random.default_rng(0))).patch
-        blocks = learner.PolicyBlocks(net)
-        for key, probs in shared.policy.items():
-            assert np.array_equal(probs, fresh_probs(key, graph, blocks, enc,
-                                                     patch_like))
-        for key, (feat, part) in shared.views.items():
-            fresh = enc.encode(as_view(key, patch_like))
-            assert np.array_equal(feat, fresh)
-            assert np.array_equal(part, fresh @ blocks.view)
-        for target, part in shared.targets.items():
-            assert np.array_equal(part, target_feature(
-                target, graph, enc, patch_like) @ blocks.target)
-        for (view, pose), node in shared.goals.items():
-            assert node == navigator.localize_goal(
-                graph, enc.encode(as_view(view, patch_like)),
-                np.frombuffer(pose, float))
-        for key, q in shared.query.items():
-            fresh, _ = fresh_query(key, graph, enc, patch_like)
-            assert q.nearest == fresh.nearest
-            for column in ("combined", "d_vis", "planar"):
-                assert np.array_equal(getattr(q, column),
-                                      getattr(fresh, column))
-            if q.radius is not None:  # served by _advance_cursor
-                assert q.satisfied == [
-                    bool(c < graph.d_locate or p < q.radius)
-                    for c, p in zip(fresh.combined, fresh.planar)]
-        for (key, radius), offset in shared.drift.items():
-            q, pose = fresh_query(key, graph, enc, patch_like)
-            fresh = navigator._drift_correction(graph, q, pose, radius=radius)
-            assert (offset is None) == (fresh is None)
-            assert offset is None or np.array_equal(offset, fresh)
-        for src, tree in shared.route.items():
-            for dst in graph.nodes:
-                assert tree_path(tree, dst) == graph.weighted_path(src, dst)
-        for key, nbrs in shared.neighbours.items():
-            assert nbrs == fresh_neighbours(key)
+        check_shared_memo(trained, noise, bounds, data)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_shared_memo_matches_fresh_memos_orientation(
+            self, trained_orientation, noise, data):
+        """The heading enters through the situation's pose estimate. The
+        briefly trained orientation graph may leave goals unreachable, so
+        only the equalities are checked."""
+        check_shared_memo(trained_orientation, noise, SMALL_BOUNDS, data)
+
+    def test_aliased_goal_views_keep_their_own_final_leg(self, committed):
+        """Goals (1, 4) and (1, 5) of FourRooms map 0 look the same, so the
+        final leg's decisions depend on the goal's pose as well as its view:
+        a memo shared by the episodes to both goals gives the outcomes of
+        fresh memos."""
+        env, graph, net, enc = committed
+        assert np.array_equal(env.grid.patch(1, 4), env.grid.patch(1, 5))
+        for start in ((1, 9), (1, 11)):
+            for goals in (((1, 4), (1, 5)), ((1, 5), (1, 4))):
+                pairs = [(start, goal) for goal in goals]
+                shared = navigator.Memo()
+                got = run_episodes(env, graph, net, enc, pairs, 0,
+                                   lambda: shared, max_steps=200,
+                                   subgoal_budget=30)
+                want = run_episodes(env, graph, net, enc, pairs, 0,
+                                    navigator.Memo, max_steps=200,
+                                    subgoal_budget=30)
+                assert ([outcome(r) for r in got]
+                        == [outcome(r) for r in want]), (start, goals)
+                assert [(r.final_state.x, r.final_state.y)
+                        for r in got] == list(goals)
 
     def test_memo_is_reused_across_episodes(self, trained):
         cfg, graph, net, enc = trained
@@ -507,21 +568,19 @@ class TestPolicyMemo:
         pairs = [(cells[0], cells[-1])] * 3
         memo = navigator.Memo()
         first = run_episodes(env, graph, net, enc, pairs[:1], 0, lambda: memo)
-        sizes = {table: len(getattr(memo, table)) for table in TABLES}
+        counts = entry_counts(memo)
         again = run_episodes(env, graph, net, enc, pairs, 0, lambda: memo)
-        assert all(sizes[t] > 0 for t in ("policy", "query", "route",
-                                          "neighbours", "views", "targets",
-                                          "goals"))
-        assert sizes == {table: len(getattr(memo, table)) for table in TABLES}
+        assert all(n > 0 for n in counts.values())
+        assert counts == entry_counts(memo)
         assert all(outcome(r) == outcome(first[0]) for r in again)
 
     @pytest.mark.parametrize("bounds", [None, {"ROUTE_ENTRIES": 3,
-                                               "NEIGHBOUR_ENTRIES": 50}],
+                                               "QUERY_ENTRIES": 50}],
                              ids=["module", "small"])
     def test_tables_respect_bounds_under_noise(self, trained, bounds,
                                                monkeypatch):
         """At eval.noise 0.3 every table stays within its bound (the small
-        route and neighbour bounds fill), the route table holds at most one
+        route and query bounds fill), the route table holds at most one
         tree per graph node, and ``run_eval`` reports the entry counts."""
         cfg, graph, net, enc = trained
         cfg = dict(cfg, **{"eval.noise": 0.3, "eval.episodes": 30,
@@ -537,4 +596,4 @@ class TestPolicyMemo:
         assert 0 < sizes["route"] <= len(graph)
         if bounds:
             assert sizes["route"] == 3
-            assert sizes["neighbours"] == 50
+            assert sizes["query"] == 50

@@ -32,6 +32,10 @@ control for ``setup_s`` (each side's import and input building), since a
 smoke round's work is a few seconds on tiny inputs. Its ``steps_per_s``
 does not measure a workload; the summary says so and the record stores
 ``smoke``.
+A benchmark run that exits non-zero ends the pairs: its seed, side, exit
+code and the tail of its stderr are printed, the completed pairs are still
+summarised, the record (with ``--out``) gets a ``failed_run`` entry, and
+the exit status is 1.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload navigate \\
         --seeds 10-19 --seconds 20 --out BENCH.json [--trace 1] [--smoke]
@@ -51,6 +55,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 SMOKE_NOTE = ("smoke runs compare setup_s only; their steps_per_s does not "
               "measure a workload")
+STDERR_LINES = 20  # lines of a failed run's stderr that are kept
+
+
+class RunFailed(RuntimeError):
+    """A benchmark run that exited non-zero."""
+
+    def __init__(self, checkout: str, seed: int, code: int, stderr: str):
+        super().__init__(f"seed {seed} in {checkout} exited {code}")
+        self.checkout, self.seed, self.code = checkout, seed, code
+        self.stderr_tail = (stderr or "").splitlines()[-STDERR_LINES:]
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -144,13 +158,16 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     """(result, detail) of one benchmark run in ``checkout``, with
     ``--smoke`` when ``smoke``: the result line it prints, with the run's
     minor page faults added as ``minor_faults``, and the detail file it
-    writes."""
+    writes. Raises RunFailed when the run exits non-zero."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)] + (["--smoke"] if smoke else [])
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          check=True)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True,
+                              text=True, check=True)
+    except subprocess.CalledProcessError as exc:
+        raise RunFailed(checkout, seed, exc.returncode, exc.stderr) from exc
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     result["minor_faults"] = faults
@@ -177,6 +194,63 @@ def traced_layers(args, counts: Sequence[str]) -> dict:
             "outputs_equal": (runs["parent"][1]["round_outputs"]
                               == runs["change"][1]["round_outputs"]),
             "counts_differ": differ}
+
+
+def run_pair(args, n: int, seed: int, better: Dict[str, str]
+             ) -> Tuple[dict, set]:
+    """Pair ``n`` on ``seed``, the parent first on even pairs: its row,
+    printed, and the BLAS thread counts its runs reported."""
+    sides = ["parent", "change"] if n % 2 == 0 else ["change", "parent"]
+    runs = {side: run_once(getattr(args, side), args.workload, seed,
+                           args.seconds, 0, args.smoke)
+            for side in sides}
+    pair = {side: {m: runs[side][0]["metrics"][m]["value"]
+                   for m in better} for side in runs}
+    pair["outputs_differ"] = differing_outputs(
+        runs["parent"][1]["round_outputs"],
+        runs["change"][1]["round_outputs"])
+    pair["outputs_equal"] = not pair["outputs_differ"]
+    pair["correct"] = all(runs[s][0]["correct"] for s in runs)
+    pair["minor_faults"] = {s: runs[s][0]["minor_faults"] for s in runs}
+    pair["seed"], pair["first"] = seed, sides[0]
+    shown = "  ".join(f"{m} {pair['parent'][m]:.4g}/{pair['change'][m]:.4g}"
+                      for m in better)
+    faults = pair["minor_faults"]
+    outputs = ("equal" if pair["outputs_equal"] else
+               f"DIFFER ({', '.join(pair['outputs_differ'])})")
+    print(f"pair {n} seed {seed} ({sides[0]} first): {shown}  "
+          f"minor_faults {faults['parent']}/{faults['change']}  "
+          f"outputs {outputs}  correct {pair['correct']}", flush=True)
+    return pair, {runs[s][1]["outputs"]["blas_threads"] for s in runs}
+
+
+def print_summary(summary: dict) -> None:
+    """One line per metric, then the minor page faults."""
+    for name, m in summary["metrics"].items():
+        print(f"{name}: parent {m['parent_median']:.4g} "
+              f"({m['parent_quartiles'][0]:.4g}-{m['parent_quartiles'][1]:.4g})"
+              f" -> change {m['change_median']:.4g} "
+              f"({m['change_quartiles'][0]:.4g}-{m['change_quartiles'][1]:.4g})"
+              f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
+              f", claimable {m['claimable']}"
+              + (f", within bound {m['bound']:.0%} {m['within_bound']}"
+                 if "bound" in m else ""))
+    faults = summary["minor_faults"]
+    old_q, new_q = (faults[f"{side}_quartiles"]
+                    for side in ("parent", "change"))
+    print(f"minor_faults (not gated): parent "
+          f"{faults['parent_median']:.4g} ({old_q[0]:.4g}-{old_q[1]:.4g})"
+          f" -> change {faults['change_median']:.4g} "
+          f"({new_q[0]:.4g}-{new_q[1]:.4g})")
+
+
+def failure(exc: RunFailed, args) -> dict:
+    """Print a failed run and return its ``failed_run`` record entry."""
+    side = "parent" if exc.checkout == args.parent else "change"
+    print(f"run failed: seed {exc.seed}, {side}, exit code {exc.code}; "
+          "stderr ends:", *exc.stderr_tail, sep="\n", flush=True)
+    return {"seed": exc.seed, "side": side, "exit_code": exc.code,
+            "stderr_tail": exc.stderr_tail}
 
 
 def append_record(path: str, record: dict) -> None:
@@ -220,55 +294,28 @@ def main(argv=None) -> int:
              else ""), flush=True)
     pairs = []
     blas_threads = set()
-    for n, seed in enumerate(args.seeds):
-        sides = ["parent", "change"] if n % 2 == 0 else ["change", "parent"]
-        runs = {side: run_once(getattr(args, side), args.workload, seed,
-                               args.seconds, 0, args.smoke)
-                for side in sides}
-        pair = {side: {m: runs[side][0]["metrics"][m]["value"]
-                       for m in better} for side in runs}
-        pair["outputs_differ"] = differing_outputs(
-            runs["parent"][1]["round_outputs"],
-            runs["change"][1]["round_outputs"])
-        pair["outputs_equal"] = not pair["outputs_differ"]
-        pair["correct"] = all(runs[s][0]["correct"] for s in runs)
-        pair["minor_faults"] = {s: runs[s][0]["minor_faults"] for s in runs}
-        pair["seed"], pair["first"] = seed, sides[0]
-        blas_threads |= {runs[s][1]["outputs"]["blas_threads"] for s in runs}
-        pairs.append(pair)
-        shown = "  ".join(f"{m} {pair['parent'][m]:.4g}/{pair['change'][m]:.4g}"
-                          for m in better)
-        faults = pair["minor_faults"]
-        outputs = ("equal" if pair["outputs_equal"] else
-                   f"DIFFER ({', '.join(pair['outputs_differ'])})")
-        print(f"pair {n} seed {seed} ({sides[0]} first): {shown}  "
-              f"minor_faults {faults['parent']}/{faults['change']}  "
-              f"outputs {outputs}  correct {pair['correct']}", flush=True)
+    failed_run = layers = None
+    try:
+        for n, seed in enumerate(args.seeds):
+            pair, threads = run_pair(args, n, seed, better)
+            pairs.append(pair)
+            blas_threads |= threads
+        if args.trace:
+            layers = traced_layers(args, counts)
+    except RunFailed as exc:
+        failed_run = failure(exc, args)
 
-    summary = summarize(pairs, better, bounds)
-    summary["correct"] = sum(p["correct"] for p in pairs)
-    summary["minor_faults"] = fault_stats = fault_summary(pairs)
+    summary = {"pairs": len(pairs)}
+    if pairs:
+        summary = summarize(pairs, better, bounds)
+        summary["correct"] = sum(p["correct"] for p in pairs)
+        summary["minor_faults"] = fault_summary(pairs)
     if args.smoke:
         summary["smoke"] = SMOKE_NOTE
         print(f"smoke: {SMOKE_NOTE}")
-    for name, m in summary["metrics"].items():
-        print(f"{name}: parent {m['parent_median']:.4g} "
-              f"({m['parent_quartiles'][0]:.4g}-{m['parent_quartiles'][1]:.4g})"
-              f" -> change {m['change_median']:.4g} "
-              f"({m['change_quartiles'][0]:.4g}-{m['change_quartiles'][1]:.4g})"
-              f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
-              f", claimable {m['claimable']}"
-              + (f", within bound {m['bound']:.0%} {m['within_bound']}"
-                 if "bound" in m else ""))
-    old_q, new_q = (fault_stats[f"{side}_quartiles"]
-                    for side in ("parent", "change"))
-    print(f"minor_faults (not gated): parent "
-          f"{fault_stats['parent_median']:.4g} ({old_q[0]:.4g}-{old_q[1]:.4g})"
-          f" -> change {fault_stats['change_median']:.4g} "
-          f"({new_q[0]:.4g}-{new_q[1]:.4g})")
-    layers = None
-    if args.trace:
-        layers = traced_layers(args, counts)
+    if pairs:
+        print_summary(summary)
+    if layers is not None:
         for name, (old, new) in layers["counts_differ"].items():
             print(f"traced {name}: parent {old} -> change {new}")
     print(json.dumps(summary))
@@ -286,9 +333,10 @@ def main(argv=None) -> int:
         }
         if layers is not None:
             record["layers"] = layers
+        if failed_run is not None:
+            record["failed_run"] = failed_run
         append_record(args.out, record)
-    return 0
-
+    return 0 if failed_run is None else 1
 
 if __name__ == "__main__":
     sys.exit(main())
