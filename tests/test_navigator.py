@@ -338,7 +338,7 @@ def fresh_neighbours(cell, variant, pose):
                                    for a in actions))
 
 
-# -- the evaluation memo -------------------------------------------------------
+# -- the evaluation memo ------------------------------------------------------
 
 INPUTS = os.path.join(os.path.dirname(__file__), "..", "benchmark", "inputs")
 

@@ -55,16 +55,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 SMOKE_NOTE = ("smoke runs compare setup_s only; their steps_per_s does not "
               "measure a workload")
-STDERR_LINES = 20  # lines of a failed run's stderr that are kept
 
 
 class RunFailed(RuntimeError):
-    """A benchmark run that exited non-zero."""
+    """A benchmark run that exited non-zero; keeps the last 20 lines of
+    its stderr."""
 
     def __init__(self, checkout: str, seed: int, code: int, stderr: str):
         super().__init__(f"seed {seed} in {checkout} exited {code}")
         self.checkout, self.seed, self.code = checkout, seed, code
-        self.stderr_tail = (stderr or "").splitlines()[-STDERR_LINES:]
+        self.stderr_tail = (stderr or "").splitlines()[-20:]
 
 
 def parse_seeds(text: str) -> List[int]:
