@@ -1,10 +1,11 @@
 """Exploration baselines: random, straight-until-collision, and intrinsic
 curiosity agents (forward-dynamics prediction and random network
-distillation) trained with the same PPO machinery as the main agent.
+distillation) trained with the same PPO machinery as the main agent. The
+random explorer draws an episode's actions at once; RND memoises its target.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -13,10 +14,6 @@ from .gridworld import AgentState, GridEnv
 from .learner import Rollout, ppo_update
 from .metrics import CoverageTracker
 from .nn import MLP, ActorCritic, Adam
-
-
-def random_policy(n_actions: int, rng: np.random.Generator) -> int:
-    return int(rng.integers(n_actions))
 
 
 class StraightPolicy:
@@ -49,8 +46,8 @@ class ForwardDynamicsModel:
         err = pred[0] - next_feature
         reward = float(err @ err)
         grads = self.net.backward(acts, 2.0 * err[None, :] / len(err))
-        for k, g in grads.items():
-            self.net.params[k] -= self.lr * g
+        for k, g in grads.items():  # in place: g is not used again
+            self.net.params[k] -= np.multiply(g, self.lr, out=g)
         return reward
 
 
@@ -62,32 +59,40 @@ class RNDModel:
         self.lr = lr
         self.target = MLP(feature_dim, hidden, out_dim, seed=seed)
         self.predictor = MLP(feature_dim, hidden, out_dim, seed=seed + 1)
+        self.targets: Dict[bytes, np.ndarray] = {}  # by feature bytes
 
     def intrinsic_reward(self, feature: np.ndarray, action: int,
                          next_feature: np.ndarray) -> float:
         x = next_feature[None, :]
-        target_out, _ = self.target.forward(x)
+        key = next_feature.tobytes()
+        target_out = self.targets.get(key)
+        if target_out is None:
+            target_out = self.targets[key] = self.target.forward(x)[0][0]
         pred_out, acts = self.predictor.forward(x)
-        err = pred_out[0] - target_out[0]
+        err = pred_out[0] - target_out
         reward = float(err @ err)
         grads = self.predictor.backward(acts, 2.0 * err[None, :] / len(err))
         for k, g in grads.items():
-            self.predictor.params[k] -= self.lr * g
+            self.predictor.params[k] -= np.multiply(g, self.lr, out=g)
         return reward
 
 
 def explore_random(env: GridEnv, steps: int, rng: np.random.Generator,
                    spawn: Optional[AgentState] = None,
                    episode_len: int = 0) -> CoverageTracker:
+    """Uniform random actions, each episode's drawn in one call (the values
+    of one draw per step), before that episode's odometry noise."""
     tracker = CoverageTracker(env.grid)
     state = spawn if spawn is not None else env.spawn(rng)
     home = (state.x, state.y)
     tracker.visit(state.x, state.y)
-    for t in range(1, steps + 1):
-        if episode_len and t % episode_len == 0:
+    cuts = range(episode_len, steps + 1, episode_len) if episode_len else ()
+    for start, stop in zip((1, *cuts), (*cuts, steps + 1)):
+        if start in cuts:
             state = AgentState(x=home[0], y=home[1])
-        state, _ = env.step(state, random_policy(env.n_actions, rng), rng)
-        tracker.visit(state.x, state.y)
+        for action in rng.integers(env.n_actions, size=stop - start).tolist():
+            state, _ = env.step(state, action, rng)
+            tracker.visit(state.x, state.y)
     return tracker
 
 

@@ -108,7 +108,8 @@ def _check(cfg: Dict[str, Any]) -> None:
             raise ConfigError(f"non-finite value for {key}")
     for key in ("learner.nsteps", "learner.horizon", "learner.epochs",
                 "learner.minibatches", "learner.il_steps", "learner.il_edges",
-                "graph.prune_every", "encoder.dim"):
+                "graph.prune_every", "graph.traj_cap", "encoder.dim",
+                "learner.total_steps"):
         value = cfg[key]
         if not _integer(value) or value < 1:
             raise ConfigError(f"{key} must be a positive integer, "
@@ -136,6 +137,10 @@ def _check(cfg: Dict[str, Any]) -> None:
         if not _finite(value) or value <= 0:
             raise ConfigError(f"{key} must be a positive finite number, "
                               f"got {value!r}")
+    for key in ("learner.discount", "learner.gae_lambda"):
+        if not (_finite(cfg[key]) and 0 <= cfg[key] <= 1):
+            raise ConfigError(
+                f"{key} must be a number in [0, 1], got {cfg[key]!r}")
     beta = cfg["learner.beta"]  # the imitation loss divides by 1 + beta
     if not _finite(beta) or beta < 0:
         raise ConfigError("learner.beta must be a finite number >= 0, "

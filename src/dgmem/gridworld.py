@@ -290,8 +290,9 @@ class Observation:
 class GridEnv:
     """Environment wrapper binding a map, action variant and noise scale.
 
-    Transitions are pure in (state, action, rng draw); instances hold no
-    mutable agent state, so independent copies may run concurrently.
+    Transitions are pure in (state, action, rng draw). An instance holds no
+    agent state, so copies may run concurrently; it keeps only a transition
+    memo, which cannot go stale: the tiles are read-only from its first step.
     """
 
     def __init__(self, grid: GridMap, noise_scale: float = 0.0,
@@ -304,6 +305,7 @@ class GridEnv:
         self.noise_scale = float(noise_scale)
         self.variant = variant
         self.patch_size = patch_size
+        self._moves: Dict[tuple, tuple] = {}  # step's, by (x, y, h, action)
 
     @property
     def n_actions(self) -> int:
@@ -326,20 +328,26 @@ class GridEnv:
 
     def step(self, state: AgentState, action: int,
              rng: np.random.Generator) -> Tuple[AgentState, Observation]:
-        dx, dy, heading = action_effect(self.variant, action, state.heading)
-        x, y = state.x, state.y
-        nx, ny = x + dx, y + dy
-        grid = self.grid
-        collided = bool((dx or dy) and not (
-            0 <= nx < grid.width and 0 <= ny < grid.height
-            and grid.tiles[nx, ny] != WALL))
-        if collided:
-            nx, ny = x, y
-        true_delta = np.array([nx - x, ny - y, float(heading - state.heading)])
+        x, y, h = state.x, state.y, state.heading
+        key = (x, y, h, action)
+        move = self._moves.get(key)
+        if move is None:  # raises here on a bad action
+            dx, dy, heading = action_effect(self.variant, action, h)
+            nx, ny = x + dx, y + dy
+            grid = self.grid
+            collided = bool((dx or dy) and not (
+                0 <= nx < grid.width and 0 <= ny < grid.height
+                and grid.tiles[nx, ny] != WALL))
+            if collided:
+                nx, ny = x, y
+            true_delta = np.array([nx - x, ny - y, float(heading - h)])
+            true_delta.flags.writeable = False
+            grid.tiles.flags.writeable = False
+            move = self._moves[key] = (nx, ny, heading, collided, true_delta,
+                                       grid.patch(nx, ny, self.patch_size))
+        nx, ny, heading, collided, delta, patch = move
         if self.noise_scale > 0.0:
-            noisy_delta = true_delta + rng.normal(0.0, self.noise_scale, 3)
-        else:
-            noisy_delta = true_delta
-        new_state = AgentState(x=nx, y=ny, heading=heading,
-                               pose_est=state.pose_est + noisy_delta)
-        return new_state, self.observe(new_state, collided=collided)
+            delta = delta + rng.normal(0.0, self.noise_scale, 3)
+        pose_est = state.pose_est + delta
+        return (AgentState(nx, ny, heading, pose_est),
+                Observation(patch, pose_est.copy(), collided))

@@ -94,12 +94,14 @@ def dense_backward(params: Dict[str, np.ndarray], names: Sequence[str],
     ``acts[i]`` is the input of layer ``names[i]``, a tanh output for i > 0;
     ``d`` is the loss gradient at the last layer's pre-activation. The weight
     gradients and the temporaries are views of ``ws``: they are valid only
-    until the next backward through it.
+    until the next backward through it. A single row's weight gradients are
+    BLAS outer products through ``np.dot`` (``np.matmul`` loops in C).
     """
     n = len(d)
+    product = np.dot if n == 1 else np.matmul
     for i in reversed(range(len(names))):
         w = params[f"{names[i]}.w"]
-        grads[f"{names[i]}.w"] = np.matmul(
+        grads[f"{names[i]}.w"] = product(
             acts[i].T, d, out=ws.rows(f"{names[i]}.dw", *w.shape))
         grads[f"{names[i]}.b"] = d.sum(axis=0)
         if i > 0:

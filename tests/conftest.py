@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dgmem import gridworld as gw
 from dgmem.encoder import PatchEncoder
 from dgmem.gridworld import GridEnv, make_four_rooms
 
@@ -73,3 +76,29 @@ def reference_adam():
                     np.sqrt(self.v[k] / b2c) + self.eps)
 
     return ReferenceAdam
+
+
+def _replace_step(env, state, action, rng):
+    """Reference transition: ``dataclasses.replace`` and ``GridMap.is_free``."""
+    dx, dy, heading = gw.action_effect(env.variant, action, state.heading)
+    nx, ny = state.x + dx, state.y + dy
+    collided = (dx or dy) and not env.grid.is_free(nx, ny)
+    if collided:
+        nx, ny = state.x, state.y
+    true_delta = np.array([nx - state.x, ny - state.y,
+                           float(heading - state.heading)])
+    if env.noise_scale > 0.0:
+        noisy_delta = true_delta + rng.normal(0.0, env.noise_scale, 3)
+    else:
+        noisy_delta = true_delta
+    new_state = dataclasses.replace(
+        state, x=nx, y=ny, heading=heading,
+        pose_est=state.pose_est + noisy_delta)
+    return new_state, env.observe(new_state, collided=bool(collided))
+
+
+@pytest.fixture(scope="session")
+def replace_step():
+    """``replace_step(env, state, action, rng)``: the reference transition
+    ``GridEnv.step`` must match, worked out afresh at every call."""
+    return _replace_step

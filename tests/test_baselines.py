@@ -6,10 +6,74 @@ from dgmem.encoder import PatchEncoder
 from dgmem.gridworld import AgentState, GridEnv
 
 
+def reference_random(env, steps, rng, spawn, episode_len, step):
+    """``explore_random`` as a per-step loop: one scalar action draw, then
+    the transition ``step``, at every step."""
+    hist = {}
+    state = spawn
+    hist[(state.x, state.y)] = 1
+    for t in range(1, steps + 1):
+        if episode_len and t % episode_len == 0:
+            state = AgentState(x=spawn.x, y=spawn.y)
+        state, _ = step(env, state, int(rng.integers(env.n_actions)), rng)
+        hist[(state.x, state.y)] = hist.get((state.x, state.y), 0) + 1
+    return hist
+
+
+def reference_straight(env, steps, rng, spawn, episode_len, step):
+    """``explore_straight`` as a per-step loop: keep the action, draw
+    another one from the rest after a collision."""
+    hist = {}
+    state = spawn
+    hist[(state.x, state.y)] = 1
+    action = int(rng.integers(env.n_actions))
+    collided = False
+    for t in range(1, steps + 1):
+        if episode_len and t % episode_len == 0:
+            state = AgentState(x=spawn.x, y=spawn.y)
+            collided = False
+        if collided:
+            others = [a for a in range(env.n_actions) if a != action]
+            action = others[int(rng.integers(len(others)))]
+        state, obs = step(env, state, action, rng)
+        collided = obs.collided
+        hist[(state.x, state.y)] = hist.get((state.x, state.y), 0) + 1
+    return hist
+
+
+class RecordingEnv(GridEnv):
+    """A GridEnv that keeps every action it is asked to take."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.actions = []
+
+    def step(self, state, action, rng):
+        self.actions.append(action)
+        return super().step(state, action, rng)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_vector_draws_equal_scalar_draws(n):
+    """``explore_random`` draws an episode's actions in one call; that is
+    only the same walk while NumPy's bounded integers give k scalar draws'
+    values and leave the generator where they would."""
+    for k in (1, 2, 99, 100, 25001):
+        scalar, vector = (np.random.default_rng(10 * n + k) for _ in range(2))
+        want = [int(scalar.integers(n)) for _ in range(k)]
+        assert vector.integers(n, size=k).tolist() == want
+        assert vector.bit_generator.state == scalar.bit_generator.state
+
+
 class TestPolicies:
-    def test_random_policy_in_range(self, rng):
-        draws = {baselines.random_policy(4, rng) for _ in range(100)}
-        assert draws <= {0, 1, 2, 3}
+    @pytest.mark.parametrize("variant", ["cardinal", "orientation"])
+    def test_random_explorer_actions_in_range(self, four_rooms, variant):
+        env = RecordingEnv(four_rooms, variant=variant)
+        baselines.explore_random(env, 500, np.random.default_rng(0),
+                                 episode_len=30)
+        assert len(env.actions) == 500
+        assert all(type(a) is int for a in env.actions)
+        assert set(env.actions) == set(range(env.n_actions))
 
     def test_straight_keeps_direction_until_collision(self, rng):
         policy = baselines.StraightPolicy(4, rng)
@@ -38,6 +102,23 @@ class TestIntrinsicModels:
         for k in before:
             assert np.array_equal(model.target.params[k], before[k])
 
+    def test_rnd_target_memo_changes_nothing(self, rng):
+        """Rewards and predictor updates equal a model that runs the frozen
+        target's forward at every call."""
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        feats = rng.standard_normal((6, 16))
+        kept, fresh = (baselines.RNDModel(16, seed=0) for _ in range(2))
+        fresh.targets = Forgetful()
+        for i in rng.integers(len(feats), size=80):
+            assert (kept.intrinsic_reward(None, 0, feats[i])
+                    == fresh.intrinsic_reward(None, 0, feats[i]))
+        assert len(kept.targets) == len(feats) and not fresh.targets
+        for k, v in kept.predictor.params.items():
+            assert v.tobytes() == fresh.predictor.params[k].tobytes(), k
+
     def test_rnd_error_shrinks_on_repetition(self, rng):
         model = baselines.RNDModel(16, seed=0, lr=0.05)
         nxt = rng.standard_normal(16)
@@ -48,6 +129,35 @@ class TestIntrinsicModels:
 
 
 class TestExploreLoops:
+    @pytest.mark.parametrize("variant", ["cardinal", "orientation"])
+    @pytest.mark.parametrize("episode_len", [0, 1, 7, 100])
+    @pytest.mark.parametrize("explore, reference", [
+        (baselines.explore_random, reference_random),
+        (baselines.explore_straight, reference_straight)])
+    def test_explorers_match_per_step_reference(self, four_rooms, variant,
+                                                episode_len, explore,
+                                                reference, replace_step):
+        env = GridEnv(four_rooms, variant=variant)
+        for seed in range(3):
+            spawn = env.spawn(np.random.default_rng(seed + 50))
+            got = explore(env, 1500, np.random.default_rng(seed),
+                          spawn=spawn, episode_len=episode_len)
+            want = reference(env, 1500, np.random.default_rng(seed), spawn,
+                             episode_len, replace_step)
+            assert got.hist == want
+
+    def test_noisy_random_walk_is_same_seed_deterministic(self, four_rooms):
+        """Each episode's actions are drawn before its odometry noise: the
+        first episode walks the noise-free cells, and later ones depend on
+        the noise draws but repeat with the seed."""
+        def walk(noise, steps):
+            return baselines.explore_random(
+                GridEnv(four_rooms, noise_scale=noise), steps,
+                np.random.default_rng(4), episode_len=100).hist
+
+        assert walk(0.3, 99) == walk(0.0, 99)
+        assert walk(0.3, 2000) == walk(0.3, 2000)
+
     def test_random_coverage_monotone_in_budget(self, four_rooms):
         env = GridEnv(four_rooms)
         small = baselines.explore_random(env, 500,

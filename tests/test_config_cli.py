@@ -376,6 +376,29 @@ class TestCliCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
+        ("graph.traj_cap: -1\n",
+         "graph.traj_cap must be a positive integer, got -1"),
+        ("learner.total_steps: -5\n",
+         "learner.total_steps must be a positive integer, got -5"),
+        ("learner.discount: 2.0\n",
+         "learner.discount must be a number in [0, 1], got 2.0"),
+        ("learner.gae_lambda: -0.5\n",
+         "learner.gae_lambda must be a number in [0, 1], got -0.5")])
+    def test_out_of_range_training_setting_fails_cleanly(self, tmp_path,
+                                                         capsys, text,
+                                                         message):
+        """Before, each of these trained without error: a negative
+        ``traj_cap`` kept no edge, a negative ``total_steps`` logged
+        "trained -5 steps", and a discount or GAE lambda outside [0, 1]
+        weighted future rewards by a growing or negative factor."""
+        out = tmp_path / "run"
+        code = cli.main(["train", "--out", str(out), "--config",
+                         self.bad_config(tmp_path, text)])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
         ("learner.minibatches: 300\n",
          "learner.minibatches must not exceed learner.nsteps (256), got 300"),
         ("learner.nsteps: 8\nlearner.minibatches: 9\n",

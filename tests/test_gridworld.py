@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -236,32 +234,13 @@ class TestCardinalStep:
         assert np.abs(np.mean(errs, axis=0)).max() < 0.5
 
 
-def replace_step(env, state, action, rng):
-    """Reference transition: ``dataclasses.replace`` and ``GridMap.is_free``."""
-    dx, dy, heading = gw.action_effect(env.variant, action, state.heading)
-    nx, ny = state.x + dx, state.y + dy
-    collided = (dx or dy) and not env.grid.is_free(nx, ny)
-    if collided:
-        nx, ny = state.x, state.y
-    true_delta = np.array([nx - state.x, ny - state.y,
-                           float(heading - state.heading)])
-    if env.noise_scale > 0.0:
-        noisy_delta = true_delta + rng.normal(0.0, env.noise_scale, 3)
-    else:
-        noisy_delta = true_delta
-    new_state = dataclasses.replace(
-        state, x=nx, y=ny, heading=heading,
-        pose_est=state.pose_est + noisy_delta)
-    return new_state, env.observe(new_state, collided=bool(collided))
-
-
 class TestStepReference:
     @pytest.mark.parametrize("variant,noise,patch_size",
                              [("cardinal", 0.0, 5), ("cardinal", 0.3, 3),
                               ("orientation", 0.0, 5),
                               ("orientation", 0.2, 7)])
     def test_random_rollouts_match_reference(self, four_rooms, variant,
-                                             noise, patch_size):
+                                             noise, patch_size, replace_step):
         env = gw.GridEnv(four_rooms, noise_scale=noise, variant=variant,
                          patch_size=patch_size)
         actions = np.random.default_rng(5)
@@ -280,6 +259,52 @@ class TestStepReference:
                 assert obs.collided is ref_obs.collided
             # same number of draws from the noise stream
             assert rng.random() == ref_rng.random()
+
+    @staticmethod
+    def warm_env(grid, variant):
+        """An env whose transition memo has been filled by a random walk."""
+        env = gw.GridEnv(grid, variant=variant)
+        rng = np.random.default_rng(3)
+        state = env.spawn(rng)
+        for _ in range(300):
+            state, _ = env.step(state, int(rng.integers(env.n_actions)), rng)
+        return env, state
+
+    @pytest.mark.parametrize("variant", ["cardinal", "orientation"])
+    def test_bad_action_raises_with_warm_memo(self, four_rooms, variant, rng):
+        env, state = self.warm_env(four_rooms, variant)
+        for bad in (-1, env.n_actions, 7):
+            for _ in range(2):  # a miss that raised left no entry behind
+                with pytest.raises(ValueError):
+                    env.step(state, bad, rng)
+
+    @pytest.mark.parametrize("variant", ["cardinal", "orientation"])
+    def test_off_map_state_gets_walled_patch(self, four_rooms, variant, rng,
+                                             replace_step):
+        env, _ = self.warm_env(four_rooms, variant)
+        for x, y in ((-3, 2), (-1, 0), (four_rooms.width, 5), (4, 40)):
+            for action in range(env.n_actions):
+                state = gw.AgentState(x=x, y=y, heading=1)
+                nxt, obs = env.step(state, action, rng)
+                ref, ref_obs = replace_step(env, state, action, rng)
+                assert (nxt.x, nxt.y, nxt.heading) == (ref.x, ref.y,
+                                                       ref.heading)
+                assert obs.collided is ref_obs.collided
+                assert np.array_equal(obs.patch, ref_obs.patch)
+                assert np.array_equal(obs.patch,
+                                      loop_patch(four_rooms, nxt.x, nxt.y, 5))
+                assert np.array_equal(obs.pose_est, ref_obs.pose_est)
+
+    @pytest.mark.parametrize("start", [(3, 3), (-2, -2)])
+    def test_tiles_read_only_after_first_step(self, rng, start):
+        """The memo's entries rest on the tiles, so the first step freezes
+        them, on the map or off it."""
+        grid = gw.make_four_rooms(0)
+        assert grid.tiles.flags.writeable
+        gw.GridEnv(grid).step(gw.AgentState(*start), gw.UP, rng)
+        assert not grid.tiles.flags.writeable
+        with pytest.raises(ValueError):
+            grid.tiles[1, 1] = gw.FREE
 
 
 class TestOrientationVariant:

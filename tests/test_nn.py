@@ -312,6 +312,21 @@ class TestMLP:
         grads = net.backward(acts, (out - target) / 4)
         finite_diff_check(net.params, loss_fn, grads)
 
+    @pytest.mark.parametrize("dims", [(132, (64, 64), 128),
+                                      (259, (512, 256), 4)])
+    def test_one_row_weight_gradients_equal_matmul(self, rng, dims):
+        """A one-row backward forms its weight gradients with ``np.dot``;
+        they equal the ``np.matmul`` outer products bit for bit."""
+        net = MLP(*dims, seed=4)
+        out, acts = net.forward(rng.standard_normal((1, dims[0])))
+        d = rng.standard_normal(out.shape)
+        grads = net.backward(acts, d.copy())
+        for i in reversed(range(len(net.names))):
+            name = net.names[i]
+            assert (grads[f"{name}.w"].tobytes()
+                    == np.matmul(acts[i].T, d).tobytes()), name
+            d = (d @ net.params[f"{name}.w"].T) * (1 - acts[i] * acts[i])
+
     def test_regression_converges(self, rng):
         net = MLP(2, (16,), 1, seed=0)
         x = rng.uniform(-1, 1, (64, 2))
