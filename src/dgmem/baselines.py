@@ -35,20 +35,14 @@ class ForwardDynamicsModel:
 
     def __init__(self, feature_dim: int, n_actions: int, seed: int = 0,
                  hidden: Tuple[int, int] = (64, 64), lr: float = 1e-3):
-        self.n_actions = n_actions
         self.lr = lr
         self.net = MLP(feature_dim + n_actions, hidden, feature_dim, seed=seed)
+        self.one_hot = np.eye(n_actions)
 
     def intrinsic_reward(self, feature: np.ndarray, action: int,
                          next_feature: np.ndarray) -> float:
-        x = np.concatenate([feature, np.eye(self.n_actions)[action]])[None, :]
-        pred, acts = self.net.forward(x)
-        err = pred[0] - next_feature
-        reward = float(err @ err)
-        grads = self.net.backward(acts, 2.0 * err[None, :] / len(err))
-        for k, g in grads.items():  # in place: g is not used again
-            self.net.params[k] -= np.multiply(g, self.lr, out=g)
-        return reward
+        x = np.concatenate([feature, self.one_hot[action]])[None, :]
+        return self.net.sgd_step(self.net.forward(x)[1], next_feature, self.lr)
 
 
 class RNDModel:
@@ -68,13 +62,8 @@ class RNDModel:
         target_out = self.targets.get(key)
         if target_out is None:
             target_out = self.targets[key] = self.target.forward(x)[0][0]
-        pred_out, acts = self.predictor.forward(x)
-        err = pred_out[0] - target_out
-        reward = float(err @ err)
-        grads = self.predictor.backward(acts, 2.0 * err[None, :] / len(err))
-        for k, g in grads.items():
-            self.predictor.params[k] -= np.multiply(g, self.lr, out=g)
-        return reward
+        return self.predictor.sgd_step(self.predictor.forward(x)[1],
+                                       target_out, self.lr)
 
 
 def explore_random(env: GridEnv, steps: int, rng: np.random.Generator,
@@ -123,6 +112,8 @@ def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
 
     The policy reuses the actor-critic machinery with zeroed goal features.
     Without a ``spawn`` the start cell is drawn from the seeded generator.
+    Only the first ``steps - steps % nsteps`` steps reach a PPO update, so
+    only they compute a reward and train the curiosity model.
     """
     rng = np.random.default_rng(seed)
     input_dim = 2 * enc.feature_dim + 3
@@ -139,25 +130,25 @@ def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
     state = spawn if spawn is not None else env.spawn(rng)
     home = (state.x, state.y)
     tracker.visit(state.x, state.y)
-    obs = env.observe(state)
-    feat = enc.encode(obs.patch)
+    feat = enc.encode(env.observe(state).patch)
     pad = np.zeros(enc.feature_dim + 3)
 
     rollout = Rollout()
+    learned = steps - steps % nsteps
     for t in range(1, steps + 1):
         x = np.concatenate([feat, pad])
         action, logp, value = net.act(x, rng, memo=rollout.decisions)
         state, obs = env.step(state, action, rng)
         next_feat = enc.encode(obs.patch)
-        r = model.intrinsic_reward(feat, action, next_feat)
         done = bool(episode_len and t % episode_len == 0)
-        rollout.add(x, action, logp, value, r, done)
+        if t <= learned:
+            r = model.intrinsic_reward(feat, action, next_feat)
+            rollout.add(x, action, logp, value, r, done)
         feat = next_feat
         tracker.visit(state.x, state.y)
         if done:
             state = AgentState(x=home[0], y=home[1])
-            obs = env.observe(state)
-            feat = enc.encode(obs.patch)
+            feat = enc.encode(env.observe(state).patch)
         if len(rollout) >= nsteps:
             last_value = 0.0 if done else float(
                 net.forward(np.concatenate([feat, pad]))[1][0])

@@ -204,7 +204,8 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
         success = dts is not None and dts < float(cfg["reward.radius"])
         records.append({"success": bool(success), "steps": result.steps,
                         "shortest": shortest, "dts": dts,
-                        "reason": result.reason, "replans": result.replans})
+                        "reason": result.reason, "replans": result.replans,
+                        "collisions": result.collisions})
     report = metrics.build_report(records)
     report.memo_entries = memo.sizes()
     return report
@@ -254,7 +255,7 @@ def cmd_explore(args) -> int:
                                               seed=int(cfg["seed"]),
                                               episode_len=horizon,
                                               spawn=spawn)
-    elif args.agent == "dgmem":
+    else:  # "dgmem", the last of the parser's choices
         cfg["learner.episodic_respawn"] = True
         enc = build_encoder(cfg)
         graph = build_graph(cfg)
@@ -262,9 +263,6 @@ def cmd_explore(args) -> int:
                                        state=spawn)
         tracker = metrics.CoverageTracker(env.grid)
         tracker.hist = dict(result.visit_hist)
-    else:
-        print(f"unknown agent {args.agent!r}", file=sys.stderr)
-        return 2
     summary = {"agent": args.agent, "steps": steps,
                "coverage": tracker.coverage(),
                "uniformity": tracker.uniformity()}

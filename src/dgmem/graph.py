@@ -164,16 +164,17 @@ class GraphMemory:
         self.topology_version += 1
         return node_id
 
-    def localize(self, feature: np.ndarray, pose: np.ndarray) -> int:
+    def localize(self, feature: np.ndarray, pose: np.ndarray,
+                 count: bool = True) -> int:
         """Update the current node if some node is close enough, and return it.
 
-        The visit count increments only on localization changes, so dwelling
-        at a node does not inflate its count.
+        The visit count increments only on localization changes, never with
+        ``count=False``, so dwelling at a node does not inflate its count.
         """
         _, _, combined = self.scores(feature, pose)
         node_id = int(np.argmin(combined))
         if combined[node_id] < self.d_locate:
-            if node_id != self.current:
+            if count and node_id != self.current:
                 self.nodes[node_id].count += 1
             self.current = node_id
         return self.current

@@ -432,6 +432,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     rollout_start = time.perf_counter()
     prune_s = 0.0  # graph pruning since the previous update ended
     pruned = 0  # edges it removed
+    collisions = 0  # bumped steps of the rollout
 
     for step in range(1, total + 1):
         if len(graph) == 0:
@@ -482,6 +483,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
         terminal = done or timeout
 
         rollout.add(x, action, logp, value, breakdown.total, terminal)
+        collisions += obs.collided
 
         if log_writer is not None:
             log_writer({"step": step, "goal": goal_id, **breakdown.as_dict(),
@@ -500,7 +502,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                 state = AgentState(x=spawn_cell[0], y=spawn_cell[1])
                 obs = env.observe(state)
                 feat = enc.encode(obs.patch)
-                graph.localize(feat, obs.pose_est)
+                graph.localize(feat, obs.pose_est, count=False)
                 graph.break_trajectory()
 
         if len(rollout) >= nsteps:
@@ -540,6 +542,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             prune_s = 0.0
             stats["il"] = il_stats
             stats["pruned"], pruned = pruned, 0
+            stats["collisions"], collisions = collisions, 0
             stats["ppo_distinct"] = stats.pop("distinct")
             stats["policy_forwards"] = policy_forwards
             stats["nodes"], stats["edges"] = len(graph), graph.num_edges

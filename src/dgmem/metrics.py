@@ -142,11 +142,11 @@ class EvalReport:
         return sum(ep["replans"] for ep in self.episodes) / len(self.episodes)
 
     def to_csv(self) -> str:
-        lines = ["episode,success,steps,shortest,spl,dts"]
+        lines = ["episode,success,steps,shortest,spl,dts,collisions"]
         for i, ep in enumerate(self.episodes):
             lines.append(
                 f"{i},{int(ep['success'])},{ep['steps']},{ep['shortest']},"
-                f"{ep['spl']:.6f},{ep['dts']}")
+                f"{ep['spl']:.6f},{ep['dts']},{ep['collisions']}")
         return "\n".join(lines) + "\n"
 
 

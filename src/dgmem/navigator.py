@@ -102,6 +102,7 @@ class EpisodeResult:
     reason: str
     replans: int
     final_state: AgentState = field(repr=False)
+    collisions: int = 0  # steps that bumped into a wall
 
 
 def localize_goal(graph: GraphMemory, goal_feat: np.ndarray,
@@ -352,7 +353,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     # executor never walks back to touch a node behind it
     _advance_cursor(graph, plan, q, subgoal_radius)
 
-    steps = 0
+    steps = collisions = 0
     steps_since_fix = 0
     budget_left = subgoal_budget
     visits: dict = {}
@@ -388,6 +389,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         steps += 1
         budget_left -= 1
         if obs.collided:
+            collisions += 1
             blocked.setdefault(cell, set()).add(action)
 
         pose = np.asarray(obs.pose_est, float) + corr
@@ -407,7 +409,8 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             steps_since_fix += 1
 
         if _at_goal(feat, pose):
-            return EpisodeResult(steps, "arrived", plan.replans, state)
+            return EpisodeResult(steps, "arrived", plan.replans, state,
+                                 collisions)
 
         advanced = _advance_cursor(graph, plan, q, subgoal_radius)
         if advanced:
@@ -415,14 +418,15 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         elif budget_left <= 0:
             if plan.replans >= max_replans:
                 return EpisodeResult(steps, "replan_exhausted",
-                                     plan.replans, state)
+                                     plan.replans, state, collisions)
             route = _route(q.nearest, plan.goal_node)
             if not route:
                 return EpisodeResult(steps, "unreachable", plan.replans,
-                                     state)
+                                     state, collisions)
             plan.route = route
             plan.cursor = 0
             plan.replans += 1
             budget_left = subgoal_budget
 
-    return EpisodeResult(steps, "max_steps", plan.replans, state)
+    return EpisodeResult(steps, "max_steps", plan.replans, state,
+                         collisions)

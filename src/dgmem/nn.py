@@ -15,8 +15,8 @@ rows, and the training losses (``learner``) run the network on those only.
 The network itself sees whatever rows it is given. A backward allocates
 nothing large: its temporaries and the weight gradients it returns are views
 of the network's ``Workspace``, valid only until the next backward through
-that network. ``Adam.step`` updates its moments and the parameters in place,
-with the operations of its plain formula in the same order.
+that network (an ``MLP``'s go to its flat gradient array). ``Adam.step``
+updates its moments and the parameters in place, in its formula's order.
 
 Imitation runs its plain-SGD steps on one fixed batch through
 ``ActorCritic.sgd_on_fixed_inputs``, which moves the first layer's
@@ -25,6 +25,7 @@ layer's input product and weight gradient at every step.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,13 +50,19 @@ def init_dense(rng: np.random.Generator, params: Dict[str, np.ndarray],
     params[f"{name}.b"] = np.zeros(fan_out)
 
 
+@functools.lru_cache(maxsize=None)
+def layer_keys(name: str) -> Tuple[str, ...]:
+    """Parameter keys (w, b) and workspace keys (dw, dx, gate) of ``name``."""
+    return tuple(f"{name}.{part}" for part in ("w", "b", "dw", "dx", "gate"))
+
+
 def tanh_forward(params: Dict[str, np.ndarray], names: Sequence[str],
                  x: np.ndarray) -> List[np.ndarray]:
     """Activations ``[x, h1, ...]`` of the tanh layers ``names``, in order."""
     acts = [x]
     for name in names:
-        acts.append(np.tanh(acts[-1] @ params[f"{name}.w"]
-                            + params[f"{name}.b"]))
+        w, b = layer_keys(name)[:2]
+        acts.append(np.tanh(acts[-1] @ params[w] + params[b]))
     return acts
 
 
@@ -89,25 +96,28 @@ def dense_backward(params: Dict[str, np.ndarray], names: Sequence[str],
                    acts: Sequence[np.ndarray], d: np.ndarray,
                    grads: Dict[str, np.ndarray],
                    ws: Workspace) -> Dict[str, np.ndarray]:
-    """Add the gradients of layers ``names`` to ``grads`` and return it.
+    """Write the gradients of layers ``names`` into ``grads`` and return it.
 
     ``acts[i]`` is the input of layer ``names[i]``, a tanh output for i > 0;
-    ``d`` is the loss gradient at the last layer's pre-activation. The weight
-    gradients and the temporaries are views of ``ws``: they are valid only
-    until the next backward through it. A single row's weight gradients are
-    BLAS outer products through ``np.dot`` (``np.matmul`` loops in C).
+    ``d`` is the loss gradient at the last layer's pre-activation. Arrays
+    already in ``grads`` are written into; other weight gradients and the
+    temporaries are views of ``ws``, valid until its next backward. One row's
+    weight gradients are BLAS outer products (``np.dot``; ``np.matmul`` loops
+    in C); its bias gradient is the row (a sum turns -0.0 into 0.0, which no
+    SGD or Adam step from zero-initialised biases and moments can tell).
     """
     n = len(d)
     product = np.dot if n == 1 else np.matmul
     for i in reversed(range(len(names))):
-        w = params[f"{names[i]}.w"]
-        grads[f"{names[i]}.w"] = product(
-            acts[i].T, d, out=ws.rows(f"{names[i]}.dw", *w.shape))
-        grads[f"{names[i]}.b"] = d.sum(axis=0)
+        wk, bk, dwk, dxk, gatek = layer_keys(names[i])
+        w = params[wk]
+        if wk not in grads:
+            grads[wk], grads[bk] = ws.rows(dwk, *w.shape), np.empty(w.shape[1])
+        product(acts[i].T, d, out=grads[wk])
+        grads[bk][:] = d[0] if n == 1 else d.sum(axis=0)
         if i > 0:
-            d = tanh_backward(
-                np.matmul(d, w.T, out=ws.rows(f"{names[i]}.dx", n, len(w))),
-                acts[i], ws.rows(f"{names[i]}.gate", n, len(w)))
+            d = tanh_backward(np.matmul(d, w.T, out=ws.rows(dxk, n, len(w))),
+                              acts[i], ws.rows(gatek, n, len(w)))
     return grads
 
 
@@ -199,8 +209,8 @@ class ActorCritic:
         inputs. Its step ``W1 -= lr * x.T @ dz1``, ``b1 -= lr * dz1.sum(0)``
         moves its pre-activation ``z1 = x @ W1 + b1`` by ``-lr * G @ dz1``,
         with ``G = x @ x.T + 1``. So ``z1`` is formed once and moved by
-        ``G`` at every step, and ``fc1`` takes the summed step ``W1 -= lr *
-        x.T @ sum(dz1)``, ``b1 -= lr * sum(dz1).sum(0)`` after the last one.
+        ``G`` after each step but the last, and ``fc1`` takes the summed step
+        ``W1 -= lr * x.T @ sum(dz1)``, ``b1 -= lr * sum(dz1).sum(0)`` last.
         In real arithmetic this equals a step-by-step update; only rounding
         differs. Each step costs three d-row products instead of five, plus
         ``G @ dz1`` in the cheaper matrix-chain order: as it stands (d*d
@@ -225,7 +235,7 @@ class ActorCritic:
         if d < 2 * self.input_dim:
             gram = x @ x.T
             gram += 1.0
-        for _ in range(steps):
+        for step in range(steps):
             h1 = np.tanh(z1, out=ws.rows("fc2.gate", d, width1))
             h2 = np.matmul(h1, p["fc2.w"], out=ws.rows("dv", d, width2))
             h2 += p["fc2.b"]
@@ -245,6 +255,8 @@ class ActorCritic:
             for key, g in grads.items():
                 p[key] -= np.multiply(g, lr, out=g)
             dz1_sum += dz1
+            if step == steps - 1:
+                break  # nothing reads the last step's move of z1
             move = h1  # h1's buffer is free once dz1 is formed
             if gram is None:
                 np.matmul(x, np.matmul(x.T, dz1, out=ws.rows(
@@ -333,28 +345,45 @@ class Adam:
 
 
 class MLP:
-    """Plain tanh MLP regressor used by the intrinsic-reward baselines."""
+    """Plain tanh MLP regressor used by the intrinsic-reward baselines;
+    ``params`` and ``grads`` are views of the flat arrays ``flat``, ``grad``."""
 
     def __init__(self, input_dim: int, hidden: Tuple[int, ...],
                  output_dim: int, seed: int = 0):
         self.dims = (int(input_dim),) + tuple(int(h) for h in hidden) + (int(output_dim),)
         self.names = tuple(f"l{i}" for i in range(len(self.dims) - 1))
         rng = np.random.default_rng(seed)
-        self.params: Dict[str, np.ndarray] = {}
+        params: Dict[str, np.ndarray] = {}
         for name, fan_in, fan_out in zip(self.names, self.dims, self.dims[1:]):
-            init_dense(rng, self.params, name, fan_in, fan_out)
+            init_dense(rng, params, name, fan_in, fan_out)
+        self.flat = np.concatenate([p.ravel() for p in params.values()])
+        self.grad = np.empty_like(self.flat)
+        cuts = np.cumsum([p.size for p in params.values()])[:-1]
+        self.params, self.grads = (
+            {k: v.reshape(params[k].shape)
+             for k, v in zip(params, np.split(flat, cuts))}
+            for flat in (self.flat, self.grad))
         self.workspace = Workspace()
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, list]:
         acts = tanh_forward(self.params, self.names[:-1],
                             np.atleast_2d(np.asarray(x, float)))
-        last = self.names[-1]
-        out = acts[-1] @ self.params[f"{last}.w"] + self.params[f"{last}.b"]
+        w, b = layer_keys(self.names[-1])[:2]
+        out = acts[-1] @ self.params[w] + self.params[b]
         acts.append(out)
         return out, acts
 
     def backward(self, acts: list, dout: np.ndarray) -> Dict[str, np.ndarray]:
-        """Parameter gradients; the weights' are valid until the next
-        backward."""
+        """Parameter gradients: ``grads``, written anew by every backward."""
         return dense_backward(self.params, self.names, acts,
-                              np.asarray(dout, float), {}, self.workspace)
+                              np.asarray(dout, float), self.grads,
+                              self.workspace)
+
+    def sgd_step(self, acts: list, target: np.ndarray, lr: float) -> float:
+        """Squared error of the forward's one output row ``acts[-1][0]``
+        against ``target``, then one plain-SGD step on it: ``p -= lr * g``
+        for all parameters in one pass over ``flat``. Returns the error."""
+        err = acts[-1][0] - target
+        self.backward(acts, 2.0 * err[None, :] / len(err))
+        self.flat -= np.multiply(self.grad, lr, out=self.grad)
+        return float(err @ err)

@@ -67,7 +67,7 @@ def fake_run(checkout, workload, seed, seconds, trace, smoke=False):
               "metrics": {"steps_per_s": {"value": speed},
                           "cpu_s": {"value": 1.0}}}
     detail = {"round_outputs": {"sha": "a" if seed != 2 else checkout},
-              "outputs": {"blas_threads": 1}}
+              "outputs": {"blas_threads": 1, "rounds": 5 if change else 1}}
     return result, detail
 
 
@@ -109,6 +109,43 @@ def test_out_file_records_settings_rows_and_summary(tmp_path, monkeypatch):
         "parent_median": 1505.0, "parent_quartiles": [755.0, 2255.0],
         "change_median": 1501.0, "change_quartiles": [751.0, 2251.0]}
     assert "minor_faults" not in summary["metrics"]
+
+
+def test_prints_and_records_rounds_and_faults_per_round(tmp_path,
+                                                        monkeypatch, capsys):
+    """Each pair shows both runs' round counts and minor faults per round,
+    and the summary gives the per-round faults' medians and quartiles: a
+    side that runs more rounds in the same time faults more in total."""
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main([str(dirs["parent"]), str(dirs["change"]),
+                          "--workload", "explore", "--seeds", "1-3",
+                          "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pairs = [line for line in lines if line.startswith("pair ")]
+    assert "minor_faults 1005/1001  rounds 1/5  faults/round 1005/200.2" in (
+        pairs[0])
+    (record,) = json.loads(out.read_text())["runs"]
+    rows = record["rows"]
+    assert [r["rounds"] for r in rows] == [{"parent": 1, "change": 5}] * 3
+    assert rows[1]["faults_per_round"] == {"parent": 2005.0,
+                                           "change": 2001 / 5}
+    summary = record["summary"]
+    per_round = summary["faults_per_round"]
+    assert per_round["parent_median"] == 2005.0
+    assert per_round["parent_quartiles"] == [1505.0, 2505.0]
+    assert per_round["change_median"] == pytest.approx(400.2)
+    assert per_round["change_quartiles"] == pytest.approx([300.2, 500.2])
+    assert summary["minor_faults"]["change_median"] == 2001
+    assert ("faults_per_round (not gated): parent 2005 (1505-2505) -> "
+            "change 400.2 (300.2-500.2)") in lines
+    assert "faults_per_round" not in summary["metrics"]
 
 
 def test_names_the_output_keys_that_differ(tmp_path, monkeypatch, capsys):
@@ -289,7 +326,8 @@ def test_marks_each_bounded_median_within_its_bound(tmp_path, monkeypatch,
                   "setup": 5.0 if change else 1.0}
         result = {"correct": True, "minor_faults": 0,
                   "metrics": {m: {"value": v} for m, v in values.items()}}
-        return result, {"round_outputs": {}, "outputs": {"blas_threads": 1}}
+        return result, {"round_outputs": {},
+                        "outputs": {"blas_threads": 1, "rounds": 1}}
 
     monkeypatch.setattr(ab_pairs, "run_once", run)
     out = tmp_path / "bench.json"

@@ -41,6 +41,67 @@ def reference_straight(env, steps, rng, spawn, episode_len, step):
     return hist
 
 
+def reference_intrinsic(env, enc, kind, steps, seed, nsteps, episode_len):
+    """``explore_intrinsic`` as it was before it skipped the tail: every
+    step computes its intrinsic reward, trains the curiosity model and
+    enters the rollout, and PPO updates every ``nsteps`` steps."""
+    rng = np.random.default_rng(seed)
+    net = baselines.ActorCritic(2 * enc.feature_dim + 3, env.n_actions,
+                                seed=seed)
+    opt = baselines.Adam(net.params)
+    model = (baselines.ForwardDynamicsModel(enc.feature_dim, env.n_actions,
+                                            seed=seed) if kind == "dp"
+             else baselines.RNDModel(enc.feature_dim, seed=seed))
+    state = env.spawn(rng)
+    home = (state.x, state.y)
+    hist = {home: 1}
+    feat = enc.encode(env.observe(state).patch)
+    pad = np.zeros(enc.feature_dim + 3)
+    rollout = baselines.Rollout()
+    for t in range(1, steps + 1):
+        x = np.concatenate([feat, pad])
+        action, logp, value = net.act(x, rng, memo=rollout.decisions)
+        state, obs = env.step(state, action, rng)
+        next_feat = enc.encode(obs.patch)
+        r = model.intrinsic_reward(feat, action, next_feat)
+        done = bool(episode_len and t % episode_len == 0)
+        rollout.add(x, action, logp, value, r, done)
+        feat = next_feat
+        hist[(state.x, state.y)] = hist.get((state.x, state.y), 0) + 1
+        if done:
+            state = AgentState(x=home[0], y=home[1])
+            feat = enc.encode(env.observe(state).patch)
+        if len(rollout) >= nsteps:
+            last_value = 0.0 if done else float(
+                net.forward(np.concatenate([feat, pad]))[1][0])
+            bx, ba, blogp, adv, ret = rollout.batch(last_value, 0.99, 0.95)
+            baselines.ppo_update(net, opt, bx, ba, blogp, adv, ret, lr=1e-4)
+    return hist
+
+
+def reference_sgd_reward(params, names, x, target, lr):
+    """Squared error of the MLP ``params`` (layers ``names``) on one row
+    ``x`` against ``target``, then one plain-SGD step ``p -= lr * g`` per
+    parameter, all in fresh-array expressions; returns the error."""
+    acts = [x]
+    for name in names[:-1]:
+        acts.append(np.tanh(acts[-1] @ params[name + ".w"]
+                            + params[name + ".b"]))
+    out = acts[-1] @ params[names[-1] + ".w"] + params[names[-1] + ".b"]
+    err = out[0] - target
+    d = 2.0 * err[None, :] / len(err)
+    grads = {}
+    for i in reversed(range(len(names))):
+        w = params[names[i] + ".w"]
+        grads[names[i] + ".w"] = np.matmul(acts[i].T, d)
+        grads[names[i] + ".b"] = d.sum(axis=0)
+        if i > 0:
+            d = (d @ w.T) * (1 - acts[i] * acts[i])
+    for k, g in grads.items():
+        params[k] -= lr * g
+    return float(err @ err)
+
+
 class RecordingEnv(GridEnv):
     """A GridEnv that keeps every action it is asked to take."""
 
@@ -119,6 +180,43 @@ class TestIntrinsicModels:
         for k, v in kept.predictor.params.items():
             assert v.tobytes() == fresh.predictor.params[k].tobytes(), k
 
+    @pytest.mark.parametrize("kind", ["rnd", "dp"])
+    def test_rewards_and_parameters_match_per_parameter_steps(self, rng,
+                                                               kind):
+        """Over a 300-sample stream, the flat in-place SGD step gives the
+        rewards and parameters, bit for bit, of a model stepping each
+        parameter with fresh arrays and one-row bias sums."""
+        feats = rng.standard_normal((12, 128))
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        if kind == "rnd":
+            model = baselines.RNDModel(128, seed=3)
+            net = model.predictor
+            target = {k: v.copy() for k, v in model.target.params.items()}
+        else:
+            model = baselines.ForwardDynamicsModel(128, 4, seed=3)
+            net = model.net
+        ref = {k: v.copy() for k, v in net.params.items()}
+        for i, action in zip(rng.integers(len(feats), size=300),
+                             rng.integers(4, size=300)):
+            feat, nxt = feats[i], feats[(i + 1) % len(feats)]
+            got = model.intrinsic_reward(feat, int(action), nxt)
+            if kind == "rnd":
+                acts = [nxt[None, :]]
+                for name in net.names[:-1]:
+                    acts.append(np.tanh(acts[-1] @ target[name + ".w"]
+                                        + target[name + ".b"]))
+                last = net.names[-1]
+                want = reference_sgd_reward(
+                    ref, net.names, nxt[None, :],
+                    (acts[-1] @ target[last + ".w"] + target[last + ".b"])[0],
+                    model.lr)
+            else:
+                x = np.concatenate([feat, np.eye(4)[action]])[None, :]
+                want = reference_sgd_reward(ref, net.names, x, nxt, model.lr)
+            assert got == want
+        for k, v in ref.items():
+            assert net.params[k].tobytes() == v.tobytes(), k
+
     def test_rnd_error_shrinks_on_repetition(self, rng):
         model = baselines.RNDModel(16, seed=0, lr=0.05)
         nxt = rng.standard_normal(16)
@@ -194,6 +292,22 @@ class TestExploreLoops:
                 nsteps=128, episode_len=100)
             hists.append(tracker.hist)
         assert hists[0] == hists[1]
+
+    @pytest.mark.parametrize("kind", ["rnd", "dp"])
+    @pytest.mark.parametrize("steps", [200, 512, 600])
+    @pytest.mark.parametrize("nsteps", [64, 256])
+    def test_intrinsic_agent_matches_every_step_reference(self, four_rooms,
+                                                          kind, steps, nsteps):
+        """Skipping the rewards and model steps that no PPO update reads
+        (with ``nsteps`` 256, all of a 200-step run and the last 88 of 600)
+        changes no visit."""
+        env, enc = GridEnv(four_rooms), PatchEncoder()
+        for seed in range(2):
+            got = baselines.explore_intrinsic(env, enc, kind, steps,
+                                              seed=seed, nsteps=nsteps,
+                                              episode_len=100)
+            assert got.hist == reference_intrinsic(env, enc, kind, steps,
+                                                   seed, nsteps, 100)
 
     def test_intrinsic_agent_starts_at_given_spawn(self, four_rooms):
         env = GridEnv(four_rooms)

@@ -128,6 +128,7 @@ class TestCliCommands:
             reasons[rec["reason"]] = reasons.get(rec["reason"], 0) + 1
         assert summary["reasons"] == reasons
         assert sum(reasons.values()) == summary["episodes"] == 5
+        assert all(0 <= rec["collisions"] <= rec["steps"] for rec in records)
         assert summary["mean_replans"] == pytest.approx(
             sum(rec["replans"] for rec in records) / 5)
         assert (tmp_path / "eval" / "eval_episodes.csv").exists()
@@ -284,8 +285,8 @@ class TestCliCommands:
         assert len(calls) >= 2 and len(updates) == len(calls)
         keys = {"kind", "step", "policy_loss", "value_loss", "entropy",
                 "approx_kl", "clip_frac", "il", "policy_forwards",
-                "ppo_distinct", "nodes", "edges", "pruned", "rollout_s",
-                "prune_s", "ppo_s", "il_s"}
+                "ppo_distinct", "nodes", "edges", "pruned", "collisions",
+                "rollout_s", "prune_s", "ppo_s", "il_s"}
         for rec in updates:
             assert keys <= set(rec) <= keys | {"nan_abort"}
             assert set(rec["il"]) == {"ce", "kl", "n", "distinct"}
@@ -296,6 +297,7 @@ class TestCliCommands:
             assert 0 <= rec["il"]["distinct"] <= rec["il"]["n"]
             assert (rec["il"]["distinct"] > 0) == (rec["il"]["n"] > 0)
             assert rec["nodes"] > 0 and rec["edges"] >= 0
+            assert 0 <= rec["collisions"] <= 256
             # seconds of the update's phases, on the test clock
             assert rec["rollout_s"] > 0 and rec["ppo_s"] > 0
             assert rec["il_s"] > 0

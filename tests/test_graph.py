@@ -114,6 +114,17 @@ class TestLocalization:
         g.localize(unit(16, 1), np.array([4.0, 0, 0]))
         assert g.nodes[1].count == base + 1
 
+    def test_uncounted_localization_moves_without_counting(self):
+        g = seeded_graph()
+        counts = [node.count for node in g.nodes.values()]
+        assert g.localize(unit(16, 1), np.array([4.0, 0, 0]),
+                          count=False) == 1
+        assert g.current == 1
+        assert [node.count for node in g.nodes.values()] == counts
+        g.localize(unit(16, 2), np.array([8.0, 0, 0]))
+        counts[2] += 1
+        assert [node.count for node in g.nodes.values()] == counts
+
     def test_matches_exhaustive_scan_oracle(self, env, encoder, rng):
         # replay a random walk; localization must match a brute-force scan
         # applying the same rule over all nodes

@@ -746,6 +746,50 @@ class TestTrainingLoop:
         # repeats; without noise most steps are memo hits
         assert memo_fw <= fresh_fw and (noise or memo_fw < fresh_fw / 2)
 
+    def test_respawn_relocalization_counts_no_visit(self, monkeypatch):
+        """The re-localisation after each episodic respawn passes
+        ``count=False``; every other localisation counts."""
+        calls = []
+        localize = GraphMemory.localize
+        break_trajectory = GraphMemory.break_trajectory
+        monkeypatch.setattr(
+            GraphMemory, "localize", lambda graph, feat, pose, **kw:
+            calls.append(kw.get("count", True))
+            or localize(graph, feat, pose, **kw))
+        monkeypatch.setattr(
+            GraphMemory, "break_trajectory",
+            lambda graph: calls.append("respawn") or break_trajectory(graph))
+        cfg = self.smoke_cfg(**{"learner.episodic_respawn": True,
+                                "learner.total_steps": 600})
+        training_loop(cli.build_env(cfg), cli.build_graph(cfg),
+                      cli.build_encoder(cfg), cfg)
+        respawns = [i for i, c in enumerate(calls) if c == "respawn"]
+        assert respawns and len(calls) > 600
+        for i, c in enumerate(calls):
+            if c != "respawn":
+                assert c is (i + 1 not in respawns)
+
+    def test_update_records_count_the_rollout_collisions(self, monkeypatch):
+        """Each update record's ``collisions`` is the bumped steps of its
+        rollout, counted here from a wrapped ``env.step``."""
+        cfg = self.smoke_cfg(**{"learner.total_steps": 600})
+        env = cli.build_env(cfg)
+        bumps = []
+        step = env.step
+
+        def counting_step(state, action, rng):
+            state, obs = step(state, action, rng)
+            bumps.append(obs.collided)
+            return state, obs
+
+        monkeypatch.setattr(env, "step", counting_step)
+        result = training_loop(env, cli.build_graph(cfg),
+                               cli.build_encoder(cfg), cfg)
+        assert len(bumps) == 600
+        assert [s["collisions"] for s in result.update_stats] == [
+            sum(bumps[i:i + 128]) for i in range(0, 512, 128)]
+        assert sum(bumps[:512]) > 0
+
     def test_episodic_respawn_returns_to_spawn(self):
         cfg = self.smoke_cfg(**{"learner.episodic_respawn": True})
         env = cli.build_env(cfg)

@@ -140,9 +140,9 @@ class TestReport:
     def records(self):
         return [
             {"success": True, "steps": 10, "shortest": 10, "dts": 0.0,
-             "reason": "arrived", "replans": 0},
+             "reason": "arrived", "replans": 0, "collisions": 0},
             {"success": False, "steps": 50, "shortest": 8, "dts": 4.0,
-             "reason": "max_steps", "replans": 3},
+             "reason": "max_steps", "replans": 3, "collisions": 7},
         ]
 
     def test_build_report_aggregates(self):
@@ -154,8 +154,9 @@ class TestReport:
     def test_csv_has_row_per_episode(self):
         rep = metrics.build_report(self.records())
         lines = rep.to_csv().strip().splitlines()
-        assert lines[0].startswith("episode,")
+        assert lines[0] == "episode,success,steps,shortest,spl,dts,collisions"
         assert len(lines) == 3
+        assert [line.split(",")[-1] for line in lines[1:]] == ["0", "7"]
 
     def test_report_spl_is_spl_of_its_terms(self, rng):
         records = [{"success": bool(rng.random() < 0.7),

@@ -574,6 +574,40 @@ class TestPolicyMemo:
         assert counts == entry_counts(memo)
         assert all(outcome(r) == outcome(first[0]) for r in again)
 
+    def test_collisions_count_the_bumped_steps(self, committed,
+                                               monkeypatch):
+        """``EpisodeResult.collisions`` and ``run_eval``'s per-episode
+        ``collisions`` are the steps whose observation reports a bump,
+        counted here from a wrapped ``env.step``."""
+        env, graph, net, enc = committed
+        bumps = []
+        step = env.step
+
+        def counting_step(state, action, rng):
+            state, obs = step(state, action, rng)
+            bumps.append(obs.collided)
+            return state, obs
+
+        execute = navigator.execute
+        results = []
+
+        def recording_execute(*args, **kwargs):
+            bumps.clear()
+            result = execute(*args, **kwargs)
+            assert len(bumps) == result.steps
+            results.append((result.collisions, sum(bumps)))
+            return result
+
+        monkeypatch.setattr(env, "step", counting_step)
+        monkeypatch.setattr(navigator, "execute", recording_execute)
+        cfg = cfgmod.make_config({"eval.episodes": 40})
+        report = cli.run_eval(env, graph, net, enc, cfg,
+                              np.random.default_rng(1))
+        assert [got for got, _ in results] == [want for _, want in results]
+        assert [rec["collisions"] for rec in report.episodes] == [
+            got for got, _ in results]
+        assert sum(got for got, _ in results) > 0
+
     @pytest.mark.parametrize("bounds", [None, {"ROUTE_ENTRIES": 3,
                                                "QUERY_ENTRIES": 50}],
                              ids=["module", "small"])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dgmem.nn import (MLP, ActorCritic, Adam, distinct_rows, log_probs,
-                      softmax)
+from dgmem.nn import (MLP, ActorCritic, Adam, distinct_rows, init_dense,
+                      log_probs, softmax)
 
 
 def finite_diff_check(params, loss_fn, grads, eps=1e-6, rel_tol=1e-4,
@@ -326,6 +326,49 @@ class TestMLP:
             assert (grads[f"{name}.w"].tobytes()
                     == np.matmul(acts[i].T, d).tobytes()), name
             d = (d @ net.params[f"{name}.w"].T) * (1 - acts[i] * acts[i])
+
+    def test_parameters_and_gradients_are_flat_views(self, rng):
+        """``params`` and ``grads`` view one flat array each, in layer
+        order; the parameters are ``init_dense``'s, and ``sgd_step``
+        returns the squared error and takes ``p -= lr * g`` per parameter."""
+        net = MLP(6, (8, 8), 3, seed=1)
+        init, init_rng = {}, np.random.default_rng(1)
+        for name, fan_in, fan_out in (("l0", 6, 8), ("l1", 8, 8),
+                                      ("l2", 8, 3)):
+            init_dense(init_rng, init, name, fan_in, fan_out)
+        assert list(net.params) == list(net.grads) == list(init)
+        start = 0
+        for k, v in init.items():
+            assert net.params[k].tobytes() == v.tobytes(), k
+            for view, flat in ((net.params[k], net.flat),
+                               (net.grads[k], net.grad)):
+                assert view.base is flat and view.shape == v.shape
+                assert view.__array_interface__["data"][0] == (
+                    flat.__array_interface__["data"][0] + 8 * start)
+            start += v.size
+        assert start == net.flat.size == net.grad.size
+        for _ in range(3):
+            out, acts = net.forward(rng.standard_normal((1, 6)))
+            target = rng.standard_normal(3)
+            err = out[0] - target
+            grads = net.backward(acts, 2.0 * err[None, :] / 3)
+            assert grads is net.grads
+            want = {k: net.params[k] - 0.01 * g for k, g in grads.items()}
+            assert net.sgd_step(acts, target, 0.01) == float(err @ err)
+            for k, v in want.items():
+                assert net.params[k].tobytes() == v.tobytes(), k
+        out, acts = net.forward(rng.standard_normal((5, 6)))
+        assert net.backward(acts, np.ones_like(out)) is net.grads
+
+    def test_one_row_bias_gradient_is_the_row(self, rng):
+        """A one-row backward copies its row into the bias gradient, equal
+        in value to the sum over the row (which would turn -0.0 into 0.0)."""
+        net = MLP(6, (8,), 3, seed=1)
+        out, acts = net.forward(rng.standard_normal((1, 6)))
+        d = np.array([[-0.0, 0.5, -2.0]])
+        grads = net.backward(acts, d)
+        assert grads["l1.b"].tobytes() == d[0].tobytes()
+        assert np.array_equal(grads["l1.b"], d.sum(axis=0))
 
     def test_regression_converges(self, rng):
         net = MLP(2, (16,), 1, seed=0)

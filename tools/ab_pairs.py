@@ -11,9 +11,12 @@ For each metric with a ``bound`` in the parent's ``BENCHMARK.json`` it also
 marks whether the change's median is within it: worse than the parent's
 median by at most that fraction of it.
 The last line is the summary as JSON.
-Each run's minor page faults (the ``ru_minflt`` of the benchmark process)
-are printed with its pair and summarised per side; they explain a timing and
-are neither gated nor claimable.
+Each run's minor page faults (the ``ru_minflt`` of the benchmark process),
+its round count and its faults per round are printed with its pair, and the
+faults and faults per round are summarised per side; they explain a timing
+and are neither gated nor claimable. A faster side runs more rounds in the
+same ``--seconds``, so only the faults per round compare the two sides'
+work.
 With ``--out FILE`` the summary is also recorded in FILE, together with every
 pair's row (``outputs_differ`` lists its differing output keys), the
 workload, seeds, ``--seconds``, each checkout's git commit, the BLAS thread
@@ -121,11 +124,12 @@ def summarize(pairs: List[dict], better: Dict[str, str],
             "metrics": metrics}
 
 
-def fault_summary(pairs: List[dict]) -> dict:
-    """Median and quartiles of each side's minor page faults."""
+def fault_summary(pairs: List[dict], key: str = "minor_faults") -> dict:
+    """Median and quartiles of each side's ``key`` (minor page faults, or
+    faults per round)."""
     out = {}
     for side in ("parent", "change"):
-        faults = [p["minor_faults"][side] for p in pairs]
+        faults = [p[key][side] for p in pairs]
         out[f"{side}_median"] = statistics.median(faults)
         out[f"{side}_quartiles"] = quartiles(faults)
     return out
@@ -211,21 +215,28 @@ def run_pair(args, n: int, seed: int, better: Dict[str, str]
         runs["change"][1]["round_outputs"])
     pair["outputs_equal"] = not pair["outputs_differ"]
     pair["correct"] = all(runs[s][0]["correct"] for s in runs)
-    pair["minor_faults"] = {s: runs[s][0]["minor_faults"] for s in runs}
+    pair["minor_faults"] = faults = {s: runs[s][0]["minor_faults"]
+                                     for s in runs}
+    pair["rounds"] = rounds = {s: runs[s][1]["outputs"]["rounds"]
+                               for s in runs}
+    pair["faults_per_round"] = {s: faults[s] / rounds[s] for s in runs}
     pair["seed"], pair["first"] = seed, sides[0]
     shown = "  ".join(f"{m} {pair['parent'][m]:.4g}/{pair['change'][m]:.4g}"
                       for m in better)
-    faults = pair["minor_faults"]
+    per_round = pair["faults_per_round"]
     outputs = ("equal" if pair["outputs_equal"] else
                f"DIFFER ({', '.join(pair['outputs_differ'])})")
     print(f"pair {n} seed {seed} ({sides[0]} first): {shown}  "
           f"minor_faults {faults['parent']}/{faults['change']}  "
-          f"outputs {outputs}  correct {pair['correct']}", flush=True)
+          f"rounds {rounds['parent']}/{rounds['change']}  "
+          f"faults/round {per_round['parent']:.4g}/{per_round['change']:.4g}"
+          f"  outputs {outputs}  correct {pair['correct']}", flush=True)
     return pair, {runs[s][1]["outputs"]["blas_threads"] for s in runs}
 
 
 def print_summary(summary: dict) -> None:
-    """One line per metric, then the minor page faults."""
+    """One line per metric, then the minor page faults and the faults per
+    round."""
     for name, m in summary["metrics"].items():
         print(f"{name}: parent {m['parent_median']:.4g} "
               f"({m['parent_quartiles'][0]:.4g}-{m['parent_quartiles'][1]:.4g})"
@@ -235,13 +246,14 @@ def print_summary(summary: dict) -> None:
               f", claimable {m['claimable']}"
               + (f", within bound {m['bound']:.0%} {m['within_bound']}"
                  if "bound" in m else ""))
-    faults = summary["minor_faults"]
-    old_q, new_q = (faults[f"{side}_quartiles"]
-                    for side in ("parent", "change"))
-    print(f"minor_faults (not gated): parent "
-          f"{faults['parent_median']:.4g} ({old_q[0]:.4g}-{old_q[1]:.4g})"
-          f" -> change {faults['change_median']:.4g} "
-          f"({new_q[0]:.4g}-{new_q[1]:.4g})")
+    for key in ("minor_faults", "faults_per_round"):
+        faults = summary[key]
+        old_q, new_q = (faults[f"{side}_quartiles"]
+                        for side in ("parent", "change"))
+        print(f"{key} (not gated): parent "
+              f"{faults['parent_median']:.4g} ({old_q[0]:.4g}-{old_q[1]:.4g})"
+              f" -> change {faults['change_median']:.4g} "
+              f"({new_q[0]:.4g}-{new_q[1]:.4g})")
 
 
 def failure(exc: RunFailed, args) -> dict:
@@ -310,6 +322,7 @@ def main(argv=None) -> int:
         summary = summarize(pairs, better, bounds)
         summary["correct"] = sum(p["correct"] for p in pairs)
         summary["minor_faults"] = fault_summary(pairs)
+        summary["faults_per_round"] = fault_summary(pairs, "faults_per_round")
     if args.smoke:
         summary["smoke"] = SMOKE_NOTE
         print(f"smoke: {SMOKE_NOTE}")
