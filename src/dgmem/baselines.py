@@ -110,14 +110,19 @@ def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
                       spawn: Optional[AgentState] = None) -> CoverageTracker:
     """PPO agent driven purely by an intrinsic reward (DP or RND baseline).
 
-    The policy reuses the actor-critic machinery with zeroed goal features.
-    Without a ``spawn`` the start cell is drawn from the seeded generator.
-    Only the first ``steps - steps % nsteps`` steps reach a PPO update, so
-    only they compute a reward and train the curiosity model.
+    The policy reuses the actor-critic machinery but sees the view feature
+    only: its ``fc1`` keeps the feature rows of the goal-conditioned
+    network's initialisation, so it computes what that network computes
+    with the goal feature and pose zeroed. Without a ``spawn`` the start
+    cell is drawn from the seeded generator. Only the first ``steps - steps
+    % nsteps`` steps reach a PPO update, so only they compute a reward and
+    train the curiosity model. ``nsteps`` below 1 raises ValueError.
     """
+    if nsteps < 1:
+        raise ValueError(f"nsteps must be at least 1, not {nsteps}")
     rng = np.random.default_rng(seed)
-    input_dim = 2 * enc.feature_dim + 3
-    net = ActorCritic(input_dim, env.n_actions, seed=seed)
+    net = ActorCritic(2 * enc.feature_dim + 3, env.n_actions, seed=seed)
+    net.keep_inputs(enc.feature_dim)
     opt = Adam(net.params)
     if kind == "dp":
         model = ForwardDynamicsModel(enc.feature_dim, env.n_actions, seed=seed)
@@ -131,27 +136,24 @@ def explore_intrinsic(env: GridEnv, enc: PatchEncoder, kind: str, steps: int,
     home = (state.x, state.y)
     tracker.visit(state.x, state.y)
     feat = enc.encode(env.observe(state).patch)
-    pad = np.zeros(enc.feature_dim + 3)
 
     rollout = Rollout()
     learned = steps - steps % nsteps
     for t in range(1, steps + 1):
-        x = np.concatenate([feat, pad])
-        action, logp, value = net.act(x, rng, memo=rollout.decisions)
+        action, logp, value = net.act(feat, rng, memo=rollout.decisions)
         state, obs = env.step(state, action, rng)
         next_feat = enc.encode(obs.patch)
         done = bool(episode_len and t % episode_len == 0)
         if t <= learned:
             r = model.intrinsic_reward(feat, action, next_feat)
-            rollout.add(x, action, logp, value, r, done)
+            rollout.add(feat, action, logp, value, r, done)
         feat = next_feat
         tracker.visit(state.x, state.y)
         if done:
             state = AgentState(x=home[0], y=home[1])
             feat = enc.encode(env.observe(state).patch)
         if len(rollout) >= nsteps:
-            last_value = 0.0 if done else float(
-                net.forward(np.concatenate([feat, pad]))[1][0])
+            last_value = 0.0 if done else float(net.forward(feat)[1][0])
             bx, ba, blogp, adv, ret = rollout.batch(last_value, 0.99, 0.95)
             ppo_update(net, opt, bx, ba, blogp, adv, ret, lr=1e-4)
     return tracker

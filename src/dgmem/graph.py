@@ -9,6 +9,8 @@ this structure.
 
 Nodes are never deleted, so node ids are dense: node ``i`` is row ``i`` of the
 pose and feature arrays that every similarity query scores in one pass.
+Localization and admission read only the nearest-node summary of a query;
+it is kept per (feature, pose) until the next admission changes the nodes.
 
 Single-writer contract: one training loop mutates the graph; read-only
 queries may run against a snapshot taken between writes.
@@ -24,6 +26,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 SNAPSHOT_HEADER = "dgmem-graph-v1"
+# Bound of the nearest-node table (about 1 MB): a noise-free training round
+# meets a few hundred (feature, pose) pairs between admissions.
+NEAREST_ENTRIES = 1 << 10
 
 
 class GraphError(Exception):
@@ -94,6 +99,7 @@ class GraphMemory:
         self._pending_overflow = False
         self._prev_obs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._last_node: Optional[int] = None
+        self._nearest: Dict[Tuple[bytes, bytes], tuple] = {}
         # Bumped whenever topology (nodes / edge set) changes; lets callers
         # cache BFS distance maps.
         self.topology_version = 0
@@ -132,8 +138,23 @@ class GraphMemory:
     def similarity(self, feature: np.ndarray,
                    pose: np.ndarray) -> Tuple[float, float, int]:
         """(min pose distance, min negative cosine, combined-score argmin id)."""
-        d_pose, d_vis, combined = self.scores(feature, pose)
-        return float(d_pose.min()), float(d_vis.min()), int(np.argmin(combined))
+        return self._near(feature, pose)[:3]
+
+    def _near(self, feature: np.ndarray,
+              pose: np.ndarray) -> Tuple[float, float, int, float]:
+        """``similarity`` and the argmin's combined score, kept by the
+        (feature, pose) bytes until the next admission."""
+        feature, pose = np.asarray(feature, float), np.asarray(pose, float)
+        key = (feature.tobytes(), pose.tobytes())
+        near = self._nearest.get(key)
+        if near is None:
+            d_pose, d_vis, combined = self.scores(feature, pose)
+            node_id = int(np.argmin(combined))
+            near = (float(d_pose.min()), float(d_vis.min()), node_id,
+                    float(combined[node_id]))
+            if len(self._nearest) < NEAREST_ENTRIES:
+                self._nearest[key] = near
+        return near
 
     # -- node / edge iteration ----------------------------------------------
 
@@ -149,6 +170,7 @@ class GraphMemory:
             ce, cs, _ = self.similarity(feature, pose)
             if ce + self.alpha_sim * cs < self.d_p:
                 return None
+        self._nearest.clear()
         node_id = len(self.nodes)
         feature = np.asarray(feature, float).copy()
         pose = np.asarray(pose, float).copy()
@@ -171,9 +193,8 @@ class GraphMemory:
         The visit count increments only on localization changes, never with
         ``count=False``, so dwelling at a node does not inflate its count.
         """
-        _, _, combined = self.scores(feature, pose)
-        node_id = int(np.argmin(combined))
-        if combined[node_id] < self.d_locate:
+        _, _, node_id, score = self._near(feature, pose)
+        if score < self.d_locate:
             if count and node_id != self.current:
                 self.nodes[node_id].count += 1
             self.current = node_id

@@ -42,10 +42,10 @@ class PolicyBlocks:
     ``view``, ``target`` and ``rel`` are the rows of ``fc1.w`` that multiply
     the view feature, the target feature and the relative pose /
     POSE_SCALE. Given the block products ``v @ view`` and ``t @ target``,
-    ``probs`` returns the action probabilities of ``policy_input(v, t,
-    rel)``. They equal ``softmax(net.forward(x))`` in real arithmetic; only
-    the rounding of ``fc1``'s sum differs. The blocks are views of the
-    parameters, valid while the network is frozen.
+    ``heads`` returns the logits and value of ``policy_input(v, t, rel)``
+    and ``probs`` its action probabilities. They equal ``net.forward(x)``'s
+    in real arithmetic; only the rounding of ``fc1``'s sum differs. The
+    blocks are views of the parameters, valid while the network is frozen.
     """
 
     def __init__(self, net: ActorCritic):
@@ -55,14 +55,17 @@ class PolicyBlocks:
         self.bias = net.params["fc1.b"]
         self.net = net
 
+    def heads(self, view_part: np.ndarray, target_part: np.ndarray,
+              rel_pose: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``net.heads`` at ``z1 = view_part + target_part + (rel_pose /
+        POSE_SCALE) @ rel + bias``, summed in that order."""
+        rel = np.asarray(rel_pose, float) / POSE_SCALE
+        return self.net.heads(view_part + target_part + rel @ self.rel
+                              + self.bias)
+
     def probs(self, view_part: np.ndarray, target_part: np.ndarray,
               rel_pose: np.ndarray) -> np.ndarray:
-        """softmax of the actor logits at ``z1 = view_part + target_part +
-        (rel_pose / POSE_SCALE) @ rel + bias``, summed in that order."""
-        z1 = (view_part + target_part
-              + (np.asarray(rel_pose, float) / POSE_SCALE) @ self.rel
-              + self.bias)
-        return softmax(self.net.actor_logits(z1))
+        return softmax(self.heads(view_part, target_part, rel_pose)[0])
 
 
 def lr_schedule(step: int, total: int, lr_start: float, lr_end: float) -> float:
@@ -101,13 +104,17 @@ class Rollout:
     ``decisions`` is the decision memo for ``ActorCritic.act`` while the
     rollout fills: the parameters stay frozen until ``batch`` (PPO's
     fixed old policy), so an input's action distribution and value are
-    computed once. ``batch`` empties it, because the caller updates the
-    parameters after it.
+    computed once. ``views`` and ``targets`` keep the ``PolicyBlocks``
+    products that a decision miss adds up, by view feature bytes and by
+    target node. ``batch`` empties all three, because the caller updates
+    the parameters after it.
     """
 
     def __init__(self):
         self._steps: List[tuple] = []
         self.decisions: dict = {}
+        self.views: dict = {}
+        self.targets: dict = {}
 
     def add(self, x: np.ndarray, a: int, logp: float, v: float, r: float,
             done: bool) -> None:
@@ -116,6 +123,19 @@ class Rollout:
     def __len__(self) -> int:
         return len(self._steps)
 
+    def block_heads(self, blocks: PolicyBlocks, view: np.ndarray, target_key,
+                    target: np.ndarray, rel_pose: np.ndarray) -> tuple:
+        """``blocks.heads`` of ``policy_input(view, target, rel_pose)``,
+        with the view's and the target's block products kept here."""
+        key = view.tobytes()
+        view_part = self.views.get(key)
+        if view_part is None:
+            view_part = self.views[key] = view @ blocks.view
+        target_part = self.targets.get(target_key)
+        if target_part is None:
+            target_part = self.targets[target_key] = target @ blocks.target
+        return blocks.heads(view_part, target_part, rel_pose)
+
     def batch(self, last_value: float, gamma: float,
               lam: float) -> Tuple[np.ndarray, ...]:
         """(x, actions, logp, adv, returns) of the gathered steps, with
@@ -123,7 +143,8 @@ class Rollout:
         buffer."""
         x, a, logp, v, r, done = zip(*self._steps)
         self._steps = []
-        self.decisions.clear()
+        for table in (self.decisions, self.views, self.targets):
+            table.clear()
         adv, returns = compute_advantages(
             np.array(r), np.array(v), np.array(done), last_value, gamma, lam,
             normalize=True)
@@ -240,7 +261,8 @@ def il_update(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
     ``ActorCritic.sgd_on_fixed_inputs``, which folds ``fc1`` through the
     inputs' Gram matrix and leaves the critic alone; this function supplies
     the loss gradient at the logits and reports ``ce`` and ``kl`` at the
-    last step's parameters.
+    last step's parameters. Log-probabilities are formed only where they
+    are read: at the first step (the KL's reference) and the last.
     """
     if len(actions) == 0:
         return {"ce": 0.0, "kl": 0.0, "n": 0, "distinct": 0}
@@ -251,15 +273,18 @@ def il_update(net: ActorCritic, x: np.ndarray, actions: np.ndarray,
     weight = counts.sum(axis=1, keepdims=True)
     old_probs = old_lp = None
     ce = kl = 0.0
+    taken = 0
 
     def head_grad(logits: np.ndarray) -> np.ndarray:
-        nonlocal old_probs, old_lp, ce, kl
+        nonlocal old_probs, old_lp, ce, kl, taken
         probs = softmax(logits)
-        lp = log_probs(logits)
+        taken += 1
         if old_probs is None:
-            old_probs, old_lp = probs, lp
-        ce = float(-(counts * lp).sum() / n)
-        kl = float((weight * old_probs * (old_lp - lp)).sum() / n)
+            old_probs, old_lp = probs, log_probs(logits)
+        if taken == steps:
+            lp = log_probs(logits)
+            ce = float(-(counts * lp).sum() / n)
+            kl = float((weight * old_probs * (old_lp - lp)).sum() / n)
         return (weight * probs - counts
                 + beta * weight * (probs - old_probs)) / (n * (1.0 + beta))
 
@@ -275,15 +300,13 @@ def build_il_batch(graph: GraphMemory, n_edges: int,
         return np.zeros((0, 1)), np.zeros(0, int)
     take = min(n_edges, len(keys))
     chosen = rng.choice(len(keys), size=take, replace=False)
-    xs: List[np.ndarray] = []
-    acts: List[int] = []
-    for ki in sorted(int(c) for c in chosen):
-        edge = graph.edges[keys[ki]]
-        goal = graph.nodes[edge.terminal()]
-        for (feat, pose), action in zip(edge.samples, edge.actions):
-            xs.append(policy_input(feat, goal.feature, goal.pose - pose))
-            acts.append(action)
-    return np.stack(xs), np.array(acts, int)
+    edges = [graph.edges[keys[ki]] for ki in sorted(int(c) for c in chosen)]
+    feats, poses = zip(*(sample for e in edges for sample in e.samples))
+    goals = [graph.nodes[e.terminal()] for e in edges for _ in e.samples]
+    rel = np.stack([g.pose for g in goals]) - np.stack(poses)
+    x = np.concatenate([np.stack(feats), np.stack([g.feature for g in goals]),
+                        rel / POSE_SCALE], axis=1)
+    return x, np.array([a for e in edges for a in e.actions], int)
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -429,6 +452,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     dist_version = -1
     recent = deque(maxlen=50)
     rollout = Rollout()
+    blocks = PolicyBlocks(net)
     rollout_start = time.perf_counter()
     prune_s = 0.0  # graph pruning since the previous update ended
     pruned = 0  # edges it removed
@@ -458,8 +482,12 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             ep_steps = 0
             dist_version = -1
 
-        x = policy_input(feat, goal_feat, goal_pose - obs.pose_est)
-        action, logp, value = net.act(x, policy_rng, memo=rollout.decisions)
+        rel = goal_pose - obs.pose_est
+        x = policy_input(feat, goal_feat, rel)
+        action, logp, value = net.act(
+            x, policy_rng, memo=rollout.decisions,
+            heads=lambda: rollout.block_heads(blocks, feat, goal_id,
+                                              goal_feat, rel))
         state, obs = env.step(state, action, env_rng)
         feat = enc.encode(obs.patch)
         sem = semantic_score(obs.patch)
@@ -534,6 +562,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                                  beta=float(cfg["learner.beta"]),
                                  steps=int(cfg["learner.il_steps"]))
             il_end = time.perf_counter()
+            blocks = PolicyBlocks(net)  # a NaN guard may replace the arrays
             result.update_seconds.append({
                 "rollout_s": ppo_start - rollout_start - prune_s,
                 "prune_s": prune_s, "ppo_s": il_start - ppo_start,

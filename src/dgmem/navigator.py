@@ -45,9 +45,10 @@ network's within rounding (about 1e-14 relative).
 A memo is valid for one (network, graph, encoder, env variant): one
 evaluation run over fixed artifacts may share it across its episodes;
 anything that trains or writes the graph may not, since every table, the
-block products included, holds answers of what it was filled with. Under
-odometry noise the pose rarely repeats, so each table stops taking entries
-at its bound.
+block products included, holds answers of what it was filled with. Each
+table stops taking entries at its bound. Under odometry noise the pose
+rarely repeats, so ``execute`` keeps no query entries at all: it queries
+the graph afresh at every step.
 """
 from __future__ import annotations
 
@@ -75,8 +76,8 @@ from .nn import ActorCritic
 # node at any noise), 251 views, 314 targets (nodes and goal views) and
 # 250 goals, about 4.4 MB in all. Views, targets and goals do not depend on
 # the pose estimate, so odometry noise leaves them at these counts; at
-# eval.noise 0.3 the query table fills (about 1.9 MB) and answers 0.1% of
-# lookups, against 99% noise-free. A route tree is a full Dijkstra, about
+# eval.noise 0.3 a query table would fill (about 1.9 MB) and answer 0.1% of
+# lookups, against 99% noise-free, so noisy runs keep none. A route tree is a full Dijkstra, about
 # twice a search that stops at its destination, so it pays off from the
 # second route out of its source; on a graph with more source nodes than
 # ROUTE_ENTRIES, each route miss after the table fills builds a tree that
@@ -313,7 +314,10 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             np.asarray(pose)[:2] - goal_pose[:2])) < success_radius + 1.5)
 
     def _look(view_key: bytes, feat, pose) -> _Query:
-        """The situation entry of the current view and pose."""
+        """The situation entry of the current view and pose; under odometry
+        noise, where poses rarely repeat, a fresh query that is not kept."""
+        if env.noise_scale > 0:
+            return _query(graph, feat, pose)
         key = (view_key, pose.tobytes())
         q = memo.query.get(key)
         if q is None:

@@ -169,12 +169,19 @@ class ActorCritic:
         values = (h2 @ p["critic.w"] + p["critic.b"])[:, 0]
         return logits, values, {"x": x, "acts": acts}
 
-    def actor_logits(self, z1: np.ndarray) -> np.ndarray:
-        """Actor logits given ``fc1``'s pre-activation ``z1``: the rest of
-        the trunk and the actor head, as ``forward`` runs them."""
+    def heads(self, z1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(logits, values) given ``fc1``'s pre-activation ``z1``: the rest
+        of the trunk and both heads, as ``forward`` runs them."""
         p = self.params
         h2 = tanh_forward(p, self.TRUNK[1:], np.tanh(z1))[-1]
-        return h2 @ p["actor.w"] + p["actor.b"]
+        return (h2 @ p["actor.w"] + p["actor.b"],
+                (h2 @ p["critic.w"] + p["critic.b"])[..., 0])
+
+    def keep_inputs(self, n: int) -> None:
+        """Keep the first ``n`` rows of ``fc1.w``: the network of inputs
+        whose later entries are zero (those rows never get a gradient)."""
+        self.params["fc1.w"] = self.params["fc1.w"][:n].copy()
+        self.input_dim = int(n)
 
     def backward(self, cache: dict, dlogits: np.ndarray,
                  dvalues: np.ndarray) -> Dict[str, np.ndarray]:
@@ -271,25 +278,29 @@ class ActorCritic:
         p["fc1.b"] -= lr * dz1_sum.sum(axis=0)
 
     def act(self, x: np.ndarray, rng: np.random.Generator,
-            memo: Optional[dict] = None) -> Tuple[int, float, float]:
+            memo: Optional[dict] = None,
+            heads: Optional[Callable] = None) -> Tuple[int, float, float]:
         """Sample a single action; returns (action, logp, value).
 
         The draw is the one ``rng.choice(n_actions, p=softmax(logits))``
         makes: one ``rng.random()`` searched in the normalised CDF, so the
         action and the generator's state match it exactly. ``memo`` maps
         ``x.tobytes()`` to (CDF, log-prob row, value) and is filled on a
-        miss; it is valid only while the parameters stay unchanged.
-        Non-finite probabilities raise ValueError, as ``choice`` does.
+        miss; it is valid only while the parameters stay unchanged. On a
+        miss ``heads()``, when given, supplies x's (logits, values) in place
+        of ``forward(x)``. Non-finite probabilities raise ValueError, as
+        ``choice`` does.
         """
         key = None if memo is None else x.tobytes()
         decision = None if memo is None else memo.get(key)
         if decision is None:
-            logits, values, _ = self.forward(x)
-            cdf = softmax(logits)[0].cumsum()
+            logits, values = self.forward(x)[:2] if heads is None else heads()
+            cdf = softmax(logits).reshape(-1).cumsum()
             if not np.isfinite(cdf[-1]):
                 raise ValueError("Probabilities contain NaN")
             cdf /= cdf[-1]
-            decision = (cdf, log_probs(logits)[0], float(values[0]))
+            decision = (cdf, log_probs(logits).reshape(-1),
+                        float(values.reshape(-1)[0]))
             if memo is not None:
                 memo[key] = decision
         cdf, logp, value = decision

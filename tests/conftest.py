@@ -30,8 +30,8 @@ def rng():
 
 @pytest.fixture(scope="session")
 def forgetful_rollout():
-    """A ``learner.Rollout`` whose decision memo keeps nothing, so every
-    ``ActorCritic.act`` runs its own forward."""
+    """A ``learner.Rollout`` whose decision memo and block-product tables
+    keep nothing, so every ``ActorCritic.act`` computes its own decision."""
     from dgmem import learner
 
     class Forgetful(dict):
@@ -41,7 +41,8 @@ def forgetful_rollout():
     class ForgetfulRollout(learner.Rollout):
         def __init__(self):
             super().__init__()
-            self.decisions = Forgetful()
+            self.decisions, self.views, self.targets = (
+                Forgetful(), Forgetful(), Forgetful())
 
     return ForgetfulRollout
 

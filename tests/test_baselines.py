@@ -42,9 +42,11 @@ def reference_straight(env, steps, rng, spawn, episode_len, step):
 
 
 def reference_intrinsic(env, enc, kind, steps, seed, nsteps, episode_len):
-    """``explore_intrinsic`` as it was before it skipped the tail: every
-    step computes its intrinsic reward, trains the curiosity model and
-    enters the rollout, and PPO updates every ``nsteps`` steps."""
+    """``explore_intrinsic`` as it was before it skipped the tail and the
+    zero pad: the policy sees the feature padded with zeros to the
+    goal-conditioned input (259 entries with the default encoder), and
+    every step computes its intrinsic reward, trains the curiosity model
+    and enters the rollout, and PPO updates every ``nsteps`` steps."""
     rng = np.random.default_rng(seed)
     net = baselines.ActorCritic(2 * enc.feature_dim + 3, env.n_actions,
                                 seed=seed)
@@ -315,6 +317,12 @@ class TestExploreLoops:
         tracker = baselines.explore_intrinsic(env, PatchEncoder(), "dp", 1,
                                               seed=0, spawn=spawn)
         assert tracker.hist.get((3, 3), 0) >= 1
+
+    @pytest.mark.parametrize("nsteps", [0, -1])
+    def test_nonpositive_nsteps_rejected(self, four_rooms, nsteps):
+        with pytest.raises(ValueError, match="nsteps"):
+            baselines.explore_intrinsic(GridEnv(four_rooms), PatchEncoder(),
+                                        "rnd", 10, nsteps=nsteps)
 
     def test_unknown_intrinsic_kind_rejected(self, four_rooms):
         env = GridEnv(four_rooms)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgmem import graph as graph_mod
 from dgmem.encoder import semantic_score
 from dgmem.graph import (GraphMemory, NoNodesError, SnapshotError,
                          UnknownNodeError, tree_path)
@@ -86,6 +87,36 @@ class TestAdmission:
             assert (got is not None) == expect
             accepted += got is not None
         assert accepted > 0
+
+
+class TestNearestNodeMemo:
+    def test_memoised_query_is_recomputed_after_admission(self, monkeypatch):
+        """A repeated (feature, pose) is scored once per node set: the next
+        admission drops the kept answers."""
+        g = make_graph()
+        g.try_add_node(unit(8, 0), np.zeros(3), 5.0)
+        calls = []
+        scores = GraphMemory.scores
+        monkeypatch.setattr(GraphMemory, "scores", lambda graph, f, p:
+                            calls.append(1) or scores(graph, f, p))
+        f, p = unit(8, 1), np.array([5.0, 0.0, 0.0])
+        assert g.similarity(f, p) == (5.0, 0.0, 0)
+        assert g.localize(f, p) == 0 and len(calls) == 1
+        assert g.try_add_node(f, p, 5.0) == 1
+        assert g.similarity(f, p) == (0.0, -1.0, 1) and len(calls) == 2
+        assert g.localize(unit(8, 0), np.zeros(3)) == 0 and len(calls) == 3
+
+    def test_table_is_bounded(self, rng, monkeypatch):
+        """Past its bound the table takes no entries; answers stay those of
+        a fresh query."""
+        monkeypatch.setattr(graph_mod, "NEAREST_ENTRIES", 4)
+        g = seeded_graph(3, dim=8)
+        for _ in range(2):
+            for pose in rng.uniform(0, 10, (10, 3)):
+                d_pose, d_vis, combined = g.scores(unit(8, 1), pose)
+                assert g.similarity(unit(8, 1), pose) == (
+                    d_pose.min(), d_vis.min(), np.argmin(combined))
+        assert len(g._nearest) == 4
 
 
 class TestLocalization:

@@ -117,8 +117,9 @@ INPUTS = os.path.join(os.path.dirname(__file__), "..", "benchmark", "inputs")
 
 
 class TestPolicyBlocks:
-    """The navigator's block formula gives the probabilities of the whole
-    network within rounding: fc1's product summed by policy_input block."""
+    """The block formula of the navigator and of training decisions gives
+    the probabilities and value of the whole network within rounding:
+    fc1's product summed by policy_input block."""
 
     @staticmethod
     def assert_blocks_match_forward(net, views, targets, rels):
@@ -126,11 +127,14 @@ class TestPolicyBlocks:
         for view in views:
             for target in targets:
                 for rel in rels:
-                    want = softmax(net.forward(policy_input(view, target,
-                                                            rel))[0])[0]
-                    got = blocks.probs(view @ blocks.view,
-                                       target @ blocks.target, rel)
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                    logits, values, _ = net.forward(policy_input(view, target,
+                                                                 rel))
+                    parts = (view @ blocks.view, target @ blocks.target, rel)
+                    np.testing.assert_allclose(blocks.probs(*parts),
+                                               softmax(logits)[0],
+                                               rtol=1e-13, atol=0)
+                    np.testing.assert_allclose(blocks.heads(*parts)[1],
+                                               values[0], rtol=1e-13, atol=0)
 
     def test_committed_checkpoint(self):
         net = load_checkpoint(os.path.join(INPUTS, "checkpoint.ckpt"))
@@ -158,6 +162,31 @@ class TestPolicyBlocks:
         unit = [v / np.linalg.norm(v) for v in rng.normal(size=(6, dim))]
         rels = rng.uniform(-40.0, 40.0, size=(5, 3))
         self.assert_blocks_match_forward(net, unit[:3], unit[3:], rels)
+
+
+class TestRolloutBlockTables:
+    def test_block_heads_keep_products_until_batch(self, rng):
+        """``Rollout.block_heads`` keeps each view's and target's product,
+        answers as fresh products do, and ``batch`` empties its tables."""
+        net = ActorCritic(2 * 6 + 3, 4, hidden=(16, 8), seed=1)
+        blocks = learner.PolicyBlocks(net)
+        rollout = learner.Rollout()
+        views, targets = rng.normal(size=(3, 6)), rng.normal(size=(2, 6))
+        for _ in range(2):
+            for view in views:
+                for key, target in enumerate(targets):
+                    rel = rng.uniform(-20.0, 20.0, 3)
+                    got = rollout.block_heads(blocks, view, key, target, rel)
+                    want = blocks.heads(view @ blocks.view,
+                                        target @ blocks.target, rel)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w)
+                    rollout.add(policy_input(view, target, rel), 0, 0.0,
+                                0.0, 0.0, False)
+        assert len(rollout.views) == 3 and len(rollout.targets) == 2
+        rollout.decisions[b"x"] = None
+        rollout.batch(0.0, 0.99, 0.95)
+        assert not (rollout.decisions or rollout.views or rollout.targets)
 
 
 class TestPPO:
@@ -586,6 +615,37 @@ class TestUpdatesMatchReference:
                 assert_close(got[key], want[key])
             assert_close_params(net, ref)
 
+    def test_il_update_reports_as_every_step_bookkeeping(self, rng,
+                                                         duplicate_heavy):
+        """Forming the log-probabilities at the first and last step only
+        gives the parameters, ``ce`` and ``kl`` of forming them at every
+        step, byte for byte."""
+        for steps in (1, 2, 8):
+            x = duplicate_heavy(rng, 30, 200)
+            actions = rng.integers(0, 4, len(x))
+            net, ref = ActorCritic(259, 4, seed=2), ActorCritic(259, 4, seed=2)
+            got = il_update(net, x, actions, lr=0.03, beta=0.1, steps=steps)
+            rows, inverse = learner.distinct_rows(x)
+            counts = np.zeros((len(rows), 4))
+            np.add.at(counts, (inverse, actions), 1.0)
+            weight = counts.sum(axis=1, keepdims=True)
+            n, first, last = len(x), [], {}
+
+            def head_grad(logits):
+                probs, lp = softmax(logits), log_probs(logits)
+                first.append((probs, lp))
+                old_probs, old_lp = first[0]
+                last["ce"] = float(-(counts * lp).sum() / n)
+                last["kl"] = float((weight * old_probs * (old_lp - lp)).sum()
+                                   / n)
+                return (weight * probs - counts
+                        + 0.1 * weight * (probs - old_probs)) / (n * 1.1)
+
+            ref.sgd_on_fixed_inputs(x[rows], steps, 0.03, head_grad)
+            assert (got["ce"], got["kl"]) == (last["ce"], last["kl"])
+            for key in ref.params:
+                assert np.array_equal(net.params[key], ref.params[key])
+
 
 class TestILBatch:
     def test_batch_built_from_edge_samples(self, rng):
@@ -603,6 +663,28 @@ class TestILBatch:
         assert (a == 3).all()
         # inputs are conditioned on the edge's terminal node
         assert np.allclose(x[0][8:16], f1)
+
+    def test_batch_equals_per_row_policy_input(self):
+        """One concatenation over stacked blocks gives the rows that
+        ``policy_input`` gives sample by sample, byte for byte."""
+        cfg = cfgmod.make_config({"learner.total_steps": 600,
+                                  "learner.nsteps": 128})
+        graph = cli.build_graph(cfg)
+        training_loop(cli.build_env(cfg), graph, cli.build_encoder(cfg), cfg)
+        x, a = build_il_batch(graph, 8, np.random.default_rng(3))
+        keys = sorted(k for k, e in graph.edges.items() if e.samples)
+        chosen = np.random.default_rng(3).choice(len(keys), size=8,
+                                                 replace=False)
+        want_x, want_a = [], []
+        for ki in sorted(int(c) for c in chosen):
+            edge = graph.edges[keys[ki]]
+            goal = graph.nodes[edge.terminal()]
+            for (feat, pose), action in zip(edge.samples, edge.actions):
+                want_x.append(policy_input(feat, goal.feature,
+                                           goal.pose - pose))
+                want_a.append(action)
+        assert len(keys) > 8 and x.tobytes() == np.stack(want_x).tobytes()
+        assert a.tolist() == want_a
 
     def test_empty_graph_gives_empty_batch(self, rng):
         x, a = build_il_batch(GraphMemory(), 16, rng)
@@ -715,16 +797,17 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_decision_memo_changes_nothing(self, env_map, noise, monkeypatch,
                                            forgetful_rollout):
-        """A memo that keeps nothing gives the same run as the real one."""
-        forward = ActorCritic.forward
+        """A memo that keeps nothing gives the same run as the real one.
+        Decisions are computed by ``PolicyBlocks.heads``, counted here."""
+        heads = learner.PolicyBlocks.heads
         runs = []
         for rollout_cls in (learner.Rollout, forgetful_rollout):
             monkeypatch.setattr(learner, "Rollout", rollout_cls)
             forwards = []
             monkeypatch.setattr(
-                ActorCritic, "forward",
-                lambda net, x, *rest: forwards.append(1)
-                or forward(net, x, *rest))
+                learner.PolicyBlocks, "heads",
+                lambda blocks, *parts: forwards.append(1)
+                or heads(blocks, *parts))
             cfg = self.smoke_cfg(**{"learner.total_steps": 600,
                                     "env.map": env_map, "env.noise": noise})
             graph = cli.build_graph(cfg)

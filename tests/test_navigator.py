@@ -614,8 +614,9 @@ class TestPolicyMemo:
     def test_tables_respect_bounds_under_noise(self, trained, bounds,
                                                monkeypatch):
         """At eval.noise 0.3 every table stays within its bound (the small
-        route and query bounds fill), the route table holds at most one
-        tree per graph node, and ``run_eval`` reports the entry counts."""
+        route bound fills), the query table stays empty, the route table
+        holds at most one tree per graph node, and ``run_eval`` reports the
+        entry counts."""
         cfg, graph, net, enc = trained
         cfg = dict(cfg, **{"eval.noise": 0.3, "eval.episodes": 30,
                            "eval.max_steps": 60})
@@ -628,6 +629,30 @@ class TestPolicyMemo:
         for table, name in TABLES.items():
             assert sizes[table] <= getattr(navigator, name), table
         assert 0 < sizes["route"] <= len(graph)
+        assert sizes["query"] == 0
         if bounds:
             assert sizes["route"] == 3
-            assert sizes["query"] == 50
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_eval_skips_query_table_and_changes_nothing(
+            self, committed, seed):
+        """Under odometry noise ``execute`` queries the graph afresh instead
+        of keeping query entries. ``run_eval``'s records at eval.noise 0.3
+        equal those of an env that steps with the same noise but reports
+        none, so that its situations go through the query table."""
+        env, graph, net, enc = committed
+        cfg = cfgmod.make_config({"eval.noise": 0.3, "eval.episodes": 40})
+        noisy = cli.build_env(cfg, noise=0.3)
+
+        class Unreported(type(noisy)):
+            def step(self, state, action, rng):
+                return noisy.step(state, action, rng)
+
+        quiet = Unreported(noisy.grid, noise_scale=0.0,
+                           variant=noisy.variant, patch_size=noisy.patch_size)
+        reports = [cli.run_eval(e, graph, net, enc, cfg,
+                                np.random.default_rng(seed))
+                   for e in (noisy, quiet)]
+        assert reports[0].episodes == reports[1].episodes
+        assert reports[0].memo_entries["query"] == 0
+        assert reports[1].memo_entries["query"] > 0
