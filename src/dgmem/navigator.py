@@ -313,10 +313,12 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         return (float(goal_feat @ feat) >= 0.999 and float(np.linalg.norm(
             np.asarray(pose)[:2] - goal_pose[:2])) < success_radius + 1.5)
 
+    noisy = env.noise_scale > 0  # then poses rarely repeat
+
     def _look(view_key: bytes, feat, pose) -> _Query:
         """The situation entry of the current view and pose; under odometry
-        noise, where poses rarely repeat, a fresh query that is not kept."""
-        if env.noise_scale > 0:
+        noise a fresh query that is not kept."""
+        if noisy:
             return _query(graph, feat, pose)
         key = (view_key, pose.tobytes())
         q = memo.query.get(key)
