@@ -55,17 +55,20 @@ class PolicyBlocks:
         self.bias = net.params["fc1.b"]
         self.net = net
 
-    def heads(self, view_part: np.ndarray, target_part: np.ndarray,
-              rel_pose: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``net.heads`` at ``z1 = view_part + target_part + (rel_pose /
-        POSE_SCALE) @ rel + bias``, summed in that order."""
+    def z1(self, view_part: np.ndarray, target_part: np.ndarray,
+           rel_pose: np.ndarray) -> np.ndarray:
+        """``view_part + target_part + (rel_pose / POSE_SCALE) @ rel +
+        bias``, summed in that order."""
         rel = np.asarray(rel_pose, float) / POSE_SCALE
-        return self.net.heads(view_part + target_part + rel @ self.rel
-                              + self.bias)
+        return view_part + target_part + rel @ self.rel + self.bias
 
-    def probs(self, view_part: np.ndarray, target_part: np.ndarray,
-              rel_pose: np.ndarray) -> np.ndarray:
-        return softmax(self.heads(view_part, target_part, rel_pose)[0])
+    def heads(self, *parts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``net.heads`` at ``z1(*parts)``."""
+        return self.net.heads(self.z1(*parts))
+
+    def probs(self, *parts: np.ndarray) -> np.ndarray:
+        """softmax of ``net.actor_logits`` at ``z1(*parts)``."""
+        return softmax(self.net.actor_logits(self.z1(*parts)))
 
 
 def lr_schedule(step: int, total: int, lr_start: float, lr_end: float) -> float:

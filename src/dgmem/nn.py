@@ -169,9 +169,15 @@ class ActorCritic:
         values = (h2 @ p["critic.w"] + p["critic.b"])[:, 0]
         return logits, values, {"x": x, "acts": acts}
 
+    def actor_logits(self, z1: np.ndarray) -> np.ndarray:
+        """Actor logits given ``fc1``'s pre-activation ``z1``: the rest of
+        the trunk and the actor head, as ``forward`` runs them."""
+        p = self.params
+        h2 = tanh_forward(p, self.TRUNK[1:], np.tanh(z1))[-1]
+        return h2 @ p["actor.w"] + p["actor.b"]
+
     def heads(self, z1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(logits, values) given ``fc1``'s pre-activation ``z1``: the rest
-        of the trunk and both heads, as ``forward`` runs them."""
+        """``actor_logits(z1)`` and the critic's values."""
         p = self.params
         h2 = tanh_forward(p, self.TRUNK[1:], np.tanh(z1))[-1]
         return (h2 @ p["actor.w"] + p["actor.b"],
