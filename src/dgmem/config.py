@@ -109,12 +109,13 @@ def _check(cfg: Dict[str, Any]) -> None:
     for key in ("learner.nsteps", "learner.horizon", "learner.epochs",
                 "learner.minibatches", "learner.il_steps", "learner.il_edges",
                 "graph.prune_every", "graph.traj_cap", "encoder.dim",
-                "learner.total_steps"):
+                "learner.total_steps", "eval.episodes"):
         value = cfg[key]
         if not _integer(value) or value < 1:
             raise ConfigError(f"{key} must be a positive integer, "
                               f"got {value!r}")
-    for key in ("seed", "encoder.seed", "env.map_seed"):
+    for key in ("seed", "encoder.seed", "env.map_seed", "eval.max_steps",
+                "eval.subgoal_budget", "eval.max_replans"):
         value = cfg[key]
         if not _integer(value) or value < 0:
             raise ConfigError(f"{key} must be a non-negative integer, "
@@ -145,8 +146,7 @@ def _check(cfg: Dict[str, Any]) -> None:
     if not _finite(beta) or beta < 0:
         raise ConfigError("learner.beta must be a finite number >= 0, "
                           f"got {beta!r}")
-    for key in ("env.noise", "eval.noise", "eval.max_steps",
-                "eval.subgoal_budget", "eval.max_replans"):
+    for key in ("env.noise", "eval.noise"):
         value = cfg[key]
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or value < 0):

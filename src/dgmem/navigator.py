@@ -27,13 +27,16 @@ During an evaluation the network is frozen, the graph is read-only and the
 encoder is deterministic, so every decision is a function of what the agent
 sees and believes. A step's situation is its (view, pose estimate): the
 graph query of that pair decides the subgoal flags of an arrival radius
-and the drift correction of a matching radius, and, with the leg (a route
-node, or on the final leg the goal's view and pose), the policy's action
-probabilities; with the heading in the pose estimate it fixes the cell
-each action is predicted to reach. ``execute`` keeps these answers on one
-``Memo.query`` entry per situation, beside the memo's tables of views,
-targets, routes (one Dijkstra tree per source node, walked up to any
-destination) and goal nodes, and computes an answer only on a miss.
+and the drift correction of a matching radius (a match, and whether its
+offset moves the pose estimate); with the leg (a route node, or on the
+final leg the goal's view and pose) the policy's action probabilities;
+with the goal and success radius the arrival verdict; and the pose cell,
+with the cell each action is predicted to reach. ``execute`` keeps these
+answers on one ``Memo.query`` entry per situation, beside the memo's tables
+of views, targets, routes (one Dijkstra tree per source node, walked up to
+any destination) and goal nodes, and computes an answer only on a miss, so
+a step in a seen situation is ``env.step`` and table reads. A drift match
+whose offset is all zeros only restarts the count of steps since a fix.
 
 A policy miss does not run the whole network on the concatenated input:
 ``learner.PolicyBlocks`` splits ``fc1`` by the input's blocks, so the memo
@@ -65,23 +68,24 @@ from .learner import PolicyBlocks
 from .nn import ActorCritic
 
 # Bounds of the Memo tables. On the benchmark graph (71 nodes) a query
-# entry takes about 2.6 KB for its graph query and subgoal flags, plus
-# about 0.25 KB per policy answer (one per leg decided there) and 0.1 KB
-# per drift offset (one per radius, at most 21); a route tree takes about
+# entry takes about 3.2 KB for its graph query, pose cell, subgoal flags
+# and next cells, plus about 0.25 KB per policy answer (one per leg decided
+# there), 0.13 KB per drift answer (one per radius, at most 21) and 0.06 KB
+# per arrival verdict (one per goal met there); a route tree takes about
 # 2.2 KB, a view entry about 5.3 KB (its feature and a 512-wide block
-# product), a target entry about 4.2 KB and a goal entry about 0.1 KB. A
-# noise-free 1000-episode FourRooms evaluation needs 256 query entries
-# (holding 2.2k policy answers and 1.5k drift offsets, 6 KB each on
-# average), 71 route trees (one per source node; at most one per graph
-# node at any noise), 251 views, 314 targets (nodes and goal views) and
-# 250 goals, about 4.4 MB in all. Views, targets and goals do not depend on
-# the pose estimate, so odometry noise leaves them at these counts; at
-# eval.noise 0.3 a query table would fill (about 1.9 MB) and answer 0.1% of
-# lookups, against 99% noise-free, so noisy runs keep none. A route tree is a full Dijkstra, about
-# twice a search that stops at its destination, so it pays off from the
-# second route out of its source; on a graph with more source nodes than
-# ROUTE_ENTRIES, each route miss after the table fills builds a tree that
-# is not kept.
+# product), a target entry about 4.2 KB and a goal entry about 0.2 KB. A
+# noise-free 1000-episode FourRooms evaluation (navigate seed 0) needs 256
+# query entries (holding 2.2k policy answers, 1.5k drift answers and 9.5k
+# arrival verdicts, 8.3 KB each on average), 71 route trees (one per source
+# node; at most one per graph node at any noise), 251 views, 314 targets
+# (nodes and goal views) and 250 goals, about 4.9 MB in all. Views, targets
+# and goals do not depend on the pose estimate, so odometry noise leaves
+# them at these counts; at eval.noise 0.3 a query table would fill (about
+# 2 MB) and answer 0.1% of lookups, against 99% noise-free, so noisy runs
+# keep none. A route tree is a full Dijkstra, about twice a search that
+# stops at its destination, so it pays off from the second route out of
+# its source; on a graph with more source nodes than ROUTE_ENTRIES, each
+# route miss after the table fills builds a tree that is not kept.
 QUERY_ENTRIES = 1 << 9
 ROUTE_ENTRIES = 1 << 8
 VIEW_ENTRIES = 1 << 11
@@ -130,14 +134,18 @@ class _Query:
     d_vis: np.ndarray  # negative feature cosine
     planar: np.ndarray  # (x, y) distance to the pose estimate
     nearest: int  # the node the graph localizes the observation on
+    cell: Tuple[float, float]  # the pose cell, key of visits and collisions
     # per-node "satisfied" flags at the arrival radius ``radius`` the query
     # last served, see _advance_cursor
     radius: Optional[float] = None
     satisfied: List[bool] = field(default_factory=list)
-    # _drift_correction's offset or None, by drift radius
-    drift: Dict[float, Optional[np.ndarray]] = field(default_factory=dict)
+    # by drift radius: whether _drift_correction matched a node, and its
+    # offset when that moves the pose estimate (else None)
+    drift: Dict[float, tuple] = field(default_factory=dict)
     # the cell each action is predicted to reach from the pose estimate
     nbrs: Optional[tuple] = None
+    # arrival verdicts by (goal view bytes, goal pose bytes, success radius)
+    arrived: dict = field(default_factory=dict)
     # action probabilities by leg: the target route node, or on the final
     # leg the goal's (view bytes, pose bytes)
     policy: dict = field(default_factory=dict)
@@ -145,11 +153,12 @@ class _Query:
 
 def _query(graph: GraphMemory, feat: np.ndarray, pose: np.ndarray) -> _Query:
     _, d_vis, combined = graph.scores(feat, pose)
-    diff = graph.poses[:, :2] - np.asarray(pose, float)[:2]
+    diff = graph.poses[:, :2] - pose[:2]
     planar = np.sqrt((diff * diff).sum(axis=1))
     for column in (combined, d_vis, planar):
         column.flags.writeable = False
-    return _Query(combined, d_vis, planar, int(np.argmin(combined)))
+    return _Query(combined, d_vis, planar, int(np.argmin(combined)),
+                  _pose_cell(pose))
 
 
 class Memo:
@@ -157,14 +166,15 @@ class Memo:
     encoder, env variant); see the module docstring.
 
     ``query`` maps a situation's (view bytes, pose bytes) to its ``_Query``,
-    which keeps the subgoal flags, drift offsets, predicted next cells and
-    action probabilities decided there. ``route`` maps a source node to its
-    ``GraphMemory.weighted_tree``, whose walk to any destination is the
-    ``weighted_path`` route. ``views`` maps view bytes to (feature,
-    view-block product), ``targets`` maps a route node or the goal view's
-    bytes to its target-block product (see ``learner.PolicyBlocks``), and
-    ``goals`` maps (goal view bytes, goal pose bytes) to the
-    ``localize_goal`` node. Each table takes no entries beyond its bound.
+    which keeps its pose cell and the subgoal flags, drift answers, next
+    cells, arrival verdicts and action probabilities decided there.
+    ``route`` maps a source node to its ``GraphMemory.weighted_tree``, whose
+    walk to any destination is the ``weighted_path`` route. ``views`` maps
+    view bytes to (feature, view-block product), ``targets`` maps a route
+    node or the goal view's bytes to its target-block product (see
+    ``learner.PolicyBlocks``), and ``goals`` maps (goal view bytes, goal
+    pose bytes) to the ``localize_goal`` node. Each table takes no entries
+    beyond its bound.
     """
 
     def __init__(self):
@@ -271,6 +281,16 @@ def _drift_correction(graph: GraphMemory, q: _Query,
     return offset
 
 
+def _at_goal(feat: np.ndarray, pose: np.ndarray, goal_feat: np.ndarray,
+             goal_pose: np.ndarray, success_radius: float) -> bool:
+    """Arrival requires visual confirmation: the current observation must
+    match the goal observation, with the pose estimate merely gating out
+    far-away visually aliased cells. A pose-only test would declare success
+    one cell off whenever odometry drift exceeds half a cell."""
+    return (float(goal_feat @ feat) >= 0.999 and float(np.linalg.norm(
+        pose[:2] - goal_pose[:2])) < success_radius + 1.5)
+
+
 def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             net: ActorCritic, enc: PatchEncoder, start_obs: Observation,
             goal_obs: Observation, rng: np.random.Generator,
@@ -301,17 +321,14 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             _keep(memo.views, VIEW_ENTRIES, key, entry)
         return (key,) + entry
 
-    # final-leg target: the goal view, keyed by its bytes
+    # final-leg target: the goal view, keyed by its bytes; the final leg is
+    # keyed by the goal's view and pose, its arrival verdicts also by radius
     goal_key, goal_feat, _ = _view(goal_obs.patch)
     goal_pose = np.asarray(goal_obs.pose_est, float)
-
-    def _at_goal(feat, pose) -> bool:
-        """Arrival requires visual confirmation: the current observation must
-        match the goal observation, with the pose estimate merely gating out
-        far-away visually aliased cells. A pose-only test would declare
-        success one cell off whenever odometry drift exceeds half a cell."""
-        return (float(goal_feat @ feat) >= 0.999 and float(np.linalg.norm(
-            np.asarray(pose)[:2] - goal_pose[:2])) < success_radius + 1.5)
+    goal = (goal_key, goal_pose.tobytes())
+    arrival = goal + (success_radius,)
+    # a pose cell (within 0.05 of the pose) this far off fails the gate
+    gx, gy, gate = *goal_pose[:2].tolist(), success_radius + 1.6
 
     noisy = env.noise_scale > 0  # then poses rarely repeat
 
@@ -327,6 +344,14 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             _keep(memo.query, QUERY_ENTRIES, key, q)
         return q
 
+    def _arrived(q: _Query, feat, pose) -> bool:
+        verdict = q.arrived.get(arrival)
+        if verdict is None:
+            verdict = q.arrived[arrival] = (
+                abs(q.cell[0] - gx) < gate and abs(q.cell[1] - gy) < gate
+                and _at_goal(feat, pose, goal_feat, goal_pose, success_radius))
+        return verdict
+
     def _route(src: int, dst: int) -> List[int]:
         tree = memo.route.get(src)
         if tree is None:
@@ -335,18 +360,18 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
         return tree_path(tree, dst)
 
     view_key, feat, view_part = _view(start_obs.patch)
-    if _at_goal(feat, start_obs.pose_est):
-        return EpisodeResult(0, "already_at_goal", 0, state)
-    if not graph.nodes:
-        return EpisodeResult(0, "empty_graph", 0, state)
-    obs = start_obs
     # drift-corrected pose estimate: odometry plus the cumulative offset
-    # from re-anchoring on visually recognized memory nodes
-    corr = np.zeros_like(np.asarray(start_obs.pose_est, float))
-    pose = np.asarray(obs.pose_est, float) + corr
+    # from re-anchoring on recognized memory nodes; ``corr`` stays None
+    # until an offset moves it (zeros change no stepped pose estimate)
+    corr = None
+    pose = np.asarray(start_obs.pose_est, float) + 0.0
+    if not graph.nodes:
+        at_goal = _at_goal(feat, pose, goal_feat, goal_pose, success_radius)
+        return EpisodeResult(0, "already_at_goal" if at_goal
+                             else "empty_graph", 0, state)
     q = _look(view_key, feat, pose)
-    # the goal's key, and the final leg's
-    goal = (goal_key, goal_pose.tobytes())
+    if _arrived(q, feat, pose):
+        return EpisodeResult(0, "already_at_goal", 0, state)
     goal_node = memo.goals.get(goal)
     if goal_node is None:
         goal_node = localize_goal(graph, goal_feat, goal_pose)
@@ -359,8 +384,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     # executor never walks back to touch a node behind it
     _advance_cursor(graph, plan, q, subgoal_radius)
 
-    steps = collisions = 0
-    steps_since_fix = 0
+    steps = collisions = steps_since_fix = 0
     budget_left = subgoal_budget
     visits: dict = {}
     blocked: dict = {}
@@ -382,7 +406,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
                 _keep(memo.targets, TARGET_ENTRIES, target, target_part)
             probs = q.policy[leg] = tuple(
                 blocks.probs(view_part, target_part, sub_pose - pose).tolist())
-        cell = _pose_cell(pose)
+        cell = q.cell
         visits[cell] = visits.get(cell, 0) + 1
         if q.nbrs is None:
             heading = int(round(float(pose[2]))) % 4
@@ -398,23 +422,24 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
             collisions += 1
             blocked.setdefault(cell, set()).add(action)
 
-        pose = np.asarray(obs.pose_est, float) + corr
+        pose = obs.pose_est if corr is None else obs.pose_est + corr
         q = _look(view_key, feat, pose)
         # widen the matching prior as uncorrected steps accumulate, since
         # drift grows with time since the last re-anchor
         radius = min(3.0 + 0.25 * steps_since_fix, 8.0)
-        if radius not in q.drift:
-            q.drift[radius] = _drift_correction(graph, q, pose, radius=radius)
-        offset = q.drift[radius]
+        fix = q.drift.get(radius)
+        if fix is None:
+            offset = _drift_correction(graph, q, pose, radius=radius)
+            fix = q.drift[radius] = (offset is not None, offset if (
+                offset is not None and any(offset.tolist())) else None)
+        matched, offset = fix
         if offset is not None:
-            corr = corr + offset
-            pose = np.asarray(obs.pose_est, float) + corr
+            corr = offset if corr is None else corr + offset
+            pose = obs.pose_est + corr
             q = _look(view_key, feat, pose)
-            steps_since_fix = 0
-        else:
-            steps_since_fix += 1
+        steps_since_fix = 0 if matched else steps_since_fix + 1
 
-        if _at_goal(feat, pose):
+        if _arrived(q, feat, pose):
             return EpisodeResult(steps, "arrived", plan.replans, state,
                                  collisions)
 

@@ -52,6 +52,23 @@ class TestSummarize:
         assert got["metrics"]["t"]["wins"] == 1
 
 
+    def test_per_pair_ratios_see_through_host_drift(self):
+        """Host drift between pairs widens the parent's quartiles, but the
+        change is 1.1x the parent in every pair; a pair whose parent value
+        is 0 has no ratio. The claim rule stays the two-median one."""
+        pairs = [pair({"rate": a}, {"rate": 1.1 * a})
+                 for a in (100, 200, 300, 400)]
+        got = ab_pairs.summarize(pairs + [pair({"rate": 0}, {"rate": 5})],
+                                 {"rate": "higher"})["metrics"]["rate"]
+        assert got["pair_ratio_median"] == pytest.approx(1.1)
+        assert got["pair_ratio_quartiles"] == pytest.approx((1.1, 1.1))
+        assert got["wins"] == 5 and not got["claimable"]
+        got = ab_pairs.summarize([pair({"t": 0}, {"t": 1})],
+                                 {"t": "lower"})["metrics"]["t"]
+        assert got["pair_ratio_median"] is None
+        assert got["pair_ratio_quartiles"] is None
+
+
 def test_parse_seeds():
     assert ab_pairs.parse_seeds("3") == [3]
     assert ab_pairs.parse_seeds("0-3") == [0, 1, 2, 3]
@@ -476,3 +493,35 @@ def test_run_once_raises_on_a_failed_run(tmp_path, monkeypatch):
     assert (info.value.checkout, info.value.seed, info.value.code) == (
         str(tmp_path), 4, 2)
     assert info.value.stderr_tail == ["a", "b"]
+
+
+def test_prints_and_records_per_pair_ratios(tmp_path, monkeypatch, capsys):
+    """The summary line of each metric shows the median and quartiles of the
+    per-pair ratios, change over parent, next to the two medians, and the
+    record keeps them."""
+    dirs = {}
+    for side in ("parent", "change"):
+        dirs[side] = tmp_path / side
+        dirs[side].mkdir()
+        (dirs[side] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "steps_per_s", "better": "higher"},
+                            {"name": "cpu_s", "better": "lower"}]}))
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert ab_pairs.main([str(dirs["parent"]), str(dirs["change"]),
+                          "--workload", "navigate", "--seeds", "0-3",
+                          "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ratios = [(110 + s) / (100 + s) for s in range(4)]
+    (record,) = json.loads(out.read_text())["runs"]
+    rate = record["summary"]["metrics"]["steps_per_s"]
+    assert rate["pair_ratio_median"] == pytest.approx(
+        (ratios[1] + ratios[2]) / 2)
+    assert rate["pair_ratio_quartiles"] == pytest.approx(
+        ab_pairs.quartiles(ratios))
+    assert record["summary"]["metrics"]["cpu_s"]["pair_ratio_median"] == 1.0
+    (line,) = [x for x in lines if x.startswith("steps_per_s:")]
+    q1, q3 = ab_pairs.quartiles(ratios)
+    assert (f"-> change 111.5 (110.8-112.2), pair ratio "
+            f"{rate['pair_ratio_median']:.4g} ({q1:.4g}-{q3:.4g}), wins 4/4"
+            ) in line

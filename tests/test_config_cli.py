@@ -336,12 +336,14 @@ class TestCliCommands:
         assert code == 2
         assert "config error: unknown config key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [
-        ("env.noise", "-1"), ("eval.noise", "-0.3"), ("eval.max_steps", "-1"),
-        ("eval.subgoal_budget", "-5"), ("eval.max_replans", "-1"),
-        ("eval.max_replans", "three")])
+    @pytest.mark.parametrize("key, value, kind", [
+        ("env.noise", "-1", "number"), ("eval.noise", "-0.3", "number"),
+        ("eval.max_steps", "-1", "integer"),
+        ("eval.subgoal_budget", "-5", "integer"),
+        ("eval.max_replans", "-1", "integer"),
+        ("eval.max_replans", "three", "integer")])
     def test_negative_setting_fails_cleanly(self, tmp_path, capsys, key,
-                                            value):
+                                            value, kind):
         """A negative noise would run without noise and a negative budget
         or replan count would end every episode early; both exit 2, as
         does a value that is not a number."""
@@ -350,11 +352,54 @@ class TestCliCommands:
             argv = ["explore", "--agent", "random", "--steps", "5",
                     "--config", cfg]
         else:
-            argv = ["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
-                    "--graph", str(tmp_path / "no.dgm"), "--config", cfg]
+            argv = self.eval_args(tmp_path, cfg)
         assert cli.main(argv) == 2
-        assert (f"config error: {key} must be a non-negative number"
+        assert (f"config error: {key} must be a non-negative {kind}"
                 in capsys.readouterr().err)
+
+    def eval_args(self, tmp_path, cfg):
+        return ["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
+                "--graph", str(tmp_path / "no.dgm"), "--config", cfg]
+
+    @pytest.mark.parametrize("value", ["2.5", "true", "abc", "0", "-3"])
+    def test_eval_episodes_must_be_a_positive_integer(self, tmp_path, capsys,
+                                                      value):
+        """Before, 2.5 ran 2 episodes, true ran 1 and abc ended with
+        ``eval error:``."""
+        cfg = self.bad_config(tmp_path, f"eval.episodes: {value}\n")
+        assert cli.main(self.eval_args(tmp_path, cfg)) == 2
+        assert ("config error: eval.episodes must be a positive integer"
+                in capsys.readouterr().err)
+
+    def test_eval_episodes_flag_must_be_positive(self, tmp_path, capsys):
+        argv = ["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
+                "--graph", str(tmp_path / "no.dgm"), "--episodes", "0"]
+        assert cli.main(argv) == 2
+        assert ("config error: eval.episodes must be a positive integer"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, value", [
+        ("eval.max_steps", "2.5"), ("eval.max_steps", "true"),
+        ("eval.subgoal_budget", "0.5"), ("eval.subgoal_budget", "false"),
+        ("eval.max_replans", "1.5"), ("eval.max_replans", "true")])
+    def test_eval_budget_must_be_an_integer(self, tmp_path, capsys, key,
+                                            value):
+        """Before, a fractional budget or replan count was truncated
+        silently (a subgoal budget of 0.5 became 0), and a bool counted as
+        0 or 1."""
+        cfg = self.bad_config(tmp_path, f"{key}: {value}\n")
+        assert cli.main(self.eval_args(tmp_path, cfg)) == 2
+        assert (f"config error: {key} must be a non-negative integer"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, value", [
+        ("eval.episodes", 1), ("eval.episodes", 1000),
+        ("eval.max_steps", 0), ("eval.max_steps", 200),
+        ("eval.subgoal_budget", 0), ("eval.subgoal_budget", 30),
+        ("eval.max_replans", 0), ("eval.max_replans", 3)])
+    def test_integer_eval_settings_accepted(self, key, value):
+        cfg = cfgmod.loads(f"{key}: {value}\n")
+        assert type(cfg[key]) is int and cfg[key] == value
 
     @pytest.mark.parametrize("key, value", [
         ("learner.nsteps", "abc"), ("learner.horizon", "0"),

@@ -436,23 +436,25 @@ TABLES = {"query": "QUERY_ENTRIES", "route": "ROUTE_ENTRIES",
 
 
 def entry_counts(memo):
-    """Entries of each table, and the policy, drift and next-cell answers
-    kept on the query entries."""
+    """Entries of each table, and the policy, drift, next-cell and arrival
+    answers kept on the query entries."""
     counts = {table: len(getattr(memo, table)) for table in TABLES}
     entries = memo.query.values()
     counts["policy"] = sum(len(q.policy) for q in entries)
     counts["drift"] = sum(len(q.drift) for q in entries)
     counts["nbrs"] = sum(q.nbrs is not None for q in entries)
+    counts["arrived"] = sum(len(q.arrived) for q in entries)
     return counts
 
 
 def check_shared_memo(trained, noise, bounds, data):
     """One memo shared by every episode gives the results of a fresh memo
     per episode and of a memo that keeps nothing, and each of its entries
-    equals a fresh computation: the graph query with its subgoal flags,
-    drift offsets, predicted next cells and the policy's block formula
-    with fresh block products on each leg; the weighted route to every
-    destination, a view's feature and block product, a target's block
+    equals a fresh computation: the graph query with its pose cell,
+    subgoal flags, drift answers (whether a node matched, and the offset
+    when it moves the pose), predicted next cells, arrival verdicts and the
+    policy's block formula with fresh block products on each leg; the
+    weighted route to every destination, a view's feature and block product, a target's block
     product and a goal's node. Every table stays within its bound."""
     cfg, graph, net, enc = trained
     env = cli.build_env(cfg, noise=noise)
@@ -495,17 +497,23 @@ def check_shared_memo(trained, noise, bounds, data):
         pose = np.frombuffer(pose_bytes, float)
         fresh = navigator._query(graph, view, pose)
         assert q.nearest == fresh.nearest
+        assert q.cell == navigator._pose_cell(pose)
         for column in ("combined", "d_vis", "planar"):
             assert np.array_equal(getattr(q, column), getattr(fresh, column))
         if q.radius is not None:  # served by _advance_cursor
             assert q.satisfied == [
                 bool(c < graph.d_locate or p < q.radius)
                 for c, p in zip(fresh.combined, fresh.planar)]
-        for radius, offset in q.drift.items():
+        for radius, (matched, offset) in q.drift.items():
             want = navigator._drift_correction(graph, fresh, pose,
                                                radius=radius)
-            assert (offset is None) == (want is None)
+            assert matched == (want is not None)
+            assert (offset is not None) == bool(matched and want.any())
             assert offset is None or np.array_equal(offset, want)
+        for (goal_view, goal_pose, radius), verdict in q.arrived.items():
+            assert verdict == navigator._at_goal(
+                view, pose, enc.encode(as_view(goal_view, patch_like)),
+                np.frombuffer(goal_pose, float), radius)
         if q.nbrs is not None:
             assert q.nbrs == fresh_neighbours(navigator._pose_cell(pose),
                                               env.variant, pose)
@@ -635,11 +643,13 @@ class TestPolicyMemo:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_noisy_eval_skips_query_table_and_changes_nothing(
-            self, committed, seed):
+            self, committed, seed, monkeypatch):
         """Under odometry noise ``execute`` queries the graph afresh instead
         of keeping query entries. ``run_eval``'s records at eval.noise 0.3
         equal those of an env that steps with the same noise but reports
-        none, so that its situations go through the query table."""
+        none, so that its situations go through the query table; there
+        drift corrections that move the pose estimate are kept on query
+        entries, which noise-free evaluations on these inputs never reach."""
         env, graph, net, enc = committed
         cfg = cfgmod.make_config({"eval.noise": 0.3, "eval.episodes": 40})
         noisy = cli.build_env(cfg, noise=0.3)
@@ -650,9 +660,21 @@ class TestPolicyMemo:
 
         quiet = Unreported(noisy.grid, noise_scale=0.0,
                            variant=noisy.variant, patch_size=noisy.patch_size)
-        reports = [cli.run_eval(e, graph, net, enc, cfg,
-                                np.random.default_rng(seed))
-                   for e in (noisy, quiet)]
+        moving = []
+        correction = navigator._drift_correction
+
+        def recording_correction(*args, **kwargs):
+            offset = correction(*args, **kwargs)
+            moving.append(offset is not None and bool(offset.any()))
+            return offset
+
+        reports = [cli.run_eval(noisy, graph, net, enc, cfg,
+                                np.random.default_rng(seed))]
+        monkeypatch.setattr(navigator, "_drift_correction",
+                            recording_correction)
+        reports.append(cli.run_eval(quiet, graph, net, enc, cfg,
+                                    np.random.default_rng(seed)))
         assert reports[0].episodes == reports[1].episodes
         assert reports[0].memo_entries["query"] == 0
         assert reports[1].memo_entries["query"] > 0
+        assert any(moving)

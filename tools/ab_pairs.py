@@ -4,7 +4,8 @@ For each seed, runs ``benchmark/run.py`` once in each checkout, one process
 at a time, the parent first on even pairs and the change first on odd ones.
 Prints each pair's end-to-end metrics and whether the two runs' round
 outputs agree, naming the output keys that differ, then per metric the
-medians, quartiles and the change's wins (ties count for neither side), and
+medians, quartiles, the median and quartiles of the per-pair ratios (change
+over parent) and the change's wins (ties count for neither side), and
 whether a gain is claimable: the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
 For each metric with a ``bound`` in the parent's ``BENCHMARK.json`` it also
@@ -92,7 +93,11 @@ def summarize(pairs: List[dict], better: Dict[str, str],
 
     ``pairs`` holds one ``{"parent": {metric: value}, "change": {metric:
     value}, "outputs_equal": bool}`` per pair; ``better`` maps each metric
-    to "higher" or "lower". A metric named in ``bounds`` also gets its
+    to "higher" or "lower". Each metric also gets the median and quartiles
+    of the per-pair ratios, change over parent (pairs whose parent value is
+    0 left out; None when none is left): host drift between pairs widens
+    each side's quartiles but not these. A metric named in ``bounds`` also
+    gets its
     ``bound`` and ``within_bound``: whether the change's median is worse
     than the parent's by at most ``bound`` times the parent's.
     """
@@ -105,11 +110,15 @@ def summarize(pairs: List[dict], better: Dict[str, str],
         losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
         old_q, new_q = quartiles(old), quartiles(new)
         old_med, new_med = statistics.median(old), statistics.median(new)
+        ratios = [b / a for a, b in zip(old, new) if a]
         metrics[name] = {
             "better": direction,
             "parent_median": old_med, "parent_quartiles": old_q,
             "change_median": new_med, "change_quartiles": new_q,
             "ratio": new_med / old_med if old_med else None,
+            "pair_ratio_median": (statistics.median(ratios) if ratios
+                                  else None),
+            "pair_ratio_quartiles": quartiles(ratios) if ratios else None,
             "wins": wins, "losses": losses,
             "claimable": (wins >= 0.9 * len(pairs)
                           and sign * (new_med - old_med) > old_q[1] - old_q[0]),
@@ -242,7 +251,11 @@ def print_summary(summary: dict) -> None:
               f"({m['parent_quartiles'][0]:.4g}-{m['parent_quartiles'][1]:.4g})"
               f" -> change {m['change_median']:.4g} "
               f"({m['change_quartiles'][0]:.4g}-{m['change_quartiles'][1]:.4g})"
-              f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
+              + (f", pair ratio {m['pair_ratio_median']:.4g} "
+                 f"({m['pair_ratio_quartiles'][0]:.4g}-"
+                 f"{m['pair_ratio_quartiles'][1]:.4g})"
+                 if m["pair_ratio_median"] is not None else "")
+              + f", wins {m['wins']}/{summary['pairs']}, losses {m['losses']}"
               f", claimable {m['claimable']}"
               + (f", within bound {m['bound']:.0%} {m['within_bound']}"
                  if "bound" in m else ""))
