@@ -377,15 +377,16 @@ def committed():
 
 
 def run_episodes(env, graph, net, enc, pairs, seed, memo_for, max_steps=60,
-                 subgoal_budget=15):
+                 subgoal_budget=15, start_offset=0.0):
     """Episodes set up as ``cli.run_eval`` sets them up, in order, on one
-    rng; ``memo_for()`` gives each episode's memo."""
+    rng, but with each start pose estimate ``start_offset`` off along x;
+    ``memo_for()`` gives each episode's memo."""
     ox, oy = graph.origin[0], graph.origin[1]
     rng = np.random.default_rng(seed)
     results = []
     for (sx, sy), (gx, gy) in pairs:
-        state = AgentState(x=sx, y=sy,
-                           pose_est=np.array([sx - ox, sy - oy, 0.0]))
+        state = AgentState(x=sx, y=sy, pose_est=np.array(
+            [sx - ox + start_offset, sy - oy, 0.0]))
         goal_obs = env.observation_at(gx, gy, np.array([gx - ox, gy - oy,
                                                         0.0]))
         results.append(navigator.execute(
@@ -454,8 +455,10 @@ def check_shared_memo(trained, noise, bounds, data):
     subgoal flags, drift answers (whether a node matched, and the offset
     when it moves the pose), predicted next cells, arrival verdicts and the
     policy's block formula with fresh block products on each leg; the
-    weighted route to every destination, a view's feature and block product, a target's block
-    product and a goal's node. Every table stays within its bound."""
+    weighted route to every destination, a view's feature and block
+    product, a target's block product and a goal's node. Every table stays
+    within its bound. Start pose estimates are on their cell or 3 cells
+    off, so that drift fixes also move the pose."""
     cfg, graph, net, enc = trained
     env = cli.build_env(cfg, noise=noise)
     cells = env.grid.free_cells()
@@ -463,18 +466,22 @@ def check_shared_memo(trained, noise, bounds, data):
     pairs = data.draw(st.lists(st.tuples(cell, cell), min_size=1,
                                max_size=6))
     seed = data.draw(st.integers(0, 2 ** 16))
+    # a start pose estimate 3 cells off makes drift fixes move the pose
+    offset = data.draw(st.sampled_from([0.0, 3.0]))
     shared = navigator.Memo()
     with pytest.MonkeyPatch.context() as mp:
         for name, bound in (bounds or {}).items():
             mp.setattr(navigator, name, bound)
-        got = run_episodes(env, graph, net, enc, pairs, seed, lambda: shared)
-        want = run_episodes(env, graph, net, enc, pairs, seed, navigator.Memo)
+        got = run_episodes(env, graph, net, enc, pairs, seed, lambda: shared,
+                           start_offset=offset)
+        want = run_episodes(env, graph, net, enc, pairs, seed, navigator.Memo,
+                            start_offset=offset)
         limits = {table: getattr(navigator, name)
                   for table, name in TABLES.items()}
         for name in TABLES.values():
             mp.setattr(navigator, name, 0)  # nothing kept: all fresh
         uncached = run_episodes(env, graph, net, enc, pairs, seed,
-                                navigator.Memo)
+                                navigator.Memo, start_offset=offset)
     assert [outcome(r) for r in got] == [outcome(r) for r in want]
     assert [outcome(r) for r in got] == [outcome(r) for r in uncached]
     for table, limit in limits.items():
@@ -569,6 +576,108 @@ class TestPolicyMemo:
                 assert [(r.final_state.x, r.final_state.y)
                         for r in got] == list(goals)
 
+    def test_drifted_start_is_reanchored(self, committed):
+        """Start pose estimates 3 cells off along x, beyond the arrival
+        test's pose gate: only drift fixes that move the pose estimate,
+        kept on the shared memo's entries, let most episodes arrive (52 of
+        60 here; none when moving fixes are dropped or when the accumulated
+        offset is not added to later poses)."""
+        env, graph, net, enc = committed
+        cells = env.grid.free_cells()
+        draw = np.random.default_rng(5)
+        pairs = [tuple(cells[int(i)] for i in draw.integers(len(cells),
+                                                            size=2))
+                 for _ in range(60)]
+        memo = navigator.Memo()
+        results = run_episodes(env, graph, net, enc, pairs, 0, lambda: memo,
+                               max_steps=200, subgoal_budget=30,
+                               start_offset=3.0)
+        arrived = sum(r.reason == "arrived"
+                      and (r.final_state.x, r.final_state.y) == goal
+                      for r, (_, goal) in zip(results, pairs))
+        assert arrived >= 45
+        assert any(offset is not None for q in memo.query.values()
+                   for _, offset in q.drift.values())
+
+    def test_drift_offsets_accumulate_under_noise(self, committed,
+                                                  monkeypatch):
+        """Under odometry noise each step's pose estimate is its odometry
+        plus every drift offset found earlier in its episode, summed from
+        zeros: a replay of the recorded odometry and offsets gives the pose
+        that each step's drift correction was asked about."""
+        env, graph, net, enc = committed
+        noisy = cli.build_env(cfgmod.make_config(), noise=0.3)
+        odometry, asked = [], []
+        step, correction = noisy.step, navigator._drift_correction
+
+        def recording_step(state, action, rng):
+            state, obs = step(state, action, rng)
+            odometry.append(obs.pose_est.copy())
+            return state, obs
+
+        def recording_correction(graph, q, pose, radius=3.0):
+            offset = correction(graph, q, pose, radius=radius)
+            asked.append((pose.copy(), offset))
+            return offset
+
+        monkeypatch.setattr(noisy, "step", recording_step)
+        monkeypatch.setattr(navigator, "_drift_correction",
+                            recording_correction)
+        cells = noisy.grid.free_cells()
+        draw = np.random.default_rng(7)
+        pairs = [tuple(cells[int(i)] for i in draw.integers(len(cells),
+                                                            size=2))
+                 for _ in range(20)]
+        results = run_episodes(noisy, graph, net, enc, pairs, 0,
+                               navigator.Memo, max_steps=200,
+                               subgoal_budget=30)
+        assert len(asked) == len(odometry) == sum(r.steps for r in results)
+        most_fixes, start = 0, 0
+        for res in results:
+            corr, fixes = np.zeros(3), 0
+            for odo, (pose, offset) in zip(odometry[start:start + res.steps],
+                                           asked[start:start + res.steps]):
+                assert np.array_equal(pose, odo + corr)
+                if offset is not None:
+                    corr, fixes = corr + offset, fixes + 1
+            start += res.steps
+            most_fixes = max(most_fixes, fixes)
+        assert most_fixes >= 2
+
+    def test_arrival_verdicts_follow_the_rule(self, committed):
+        """A kept arrival verdict is ``_at_goal``'s, also where a pose cell
+        far from the goal decides it without the feature test: with
+        max_steps 0 an episode ends ``already_at_goal`` exactly when the
+        rule accepts its start. The starts are the look-alike cells (1, 3),
+        (1, 4) and (1, 5) and a far cell, with pose estimates up to 0.6 off
+        their cell, around the pose gate's edge."""
+        env, graph, net, enc = committed
+        ox, oy = graph.origin[0], graph.origin[1]
+        rng = np.random.default_rng(0)
+        memo = navigator.Memo()
+        shifts = (-0.6, -0.49, -0.45, -0.04, 0.0, 0.04, 0.45, 0.49, 0.6)
+        accepted = set()
+        for gx, gy in ((1, 3), (1, 4), (1, 5)):
+            goal_pose = np.array([gx - ox, gy - oy, 0.0])
+            goal_obs = env.observation_at(gx, gy, goal_pose)
+            goal_feat = enc.encode(goal_obs.patch)
+            for sx, sy in ((1, 3), (1, 4), (1, 5), (10, 10)):
+                feat = enc.encode(env.grid.patch(sx, sy, env.patch_size))
+                for dx in shifts:
+                    for dy in shifts:
+                        pose = np.array([sx - ox + dx, sy - oy + dy, 0.0])
+                        state = AgentState(x=sx, y=sy, pose_est=pose)
+                        res = navigator.execute(
+                            env, state, graph, net, enc, env.observe(state),
+                            goal_obs, rng, max_steps=0, memo=memo)
+                        want = navigator._at_goal(feat, pose, goal_feat,
+                                                  goal_pose, 1.0)
+                        assert (res.reason == "already_at_goal") == want
+                        if want:
+                            accepted.add(abs(sy + dy - gy))
+        # accepted starts reach the gate's edge (distance 2.5)
+        assert max(accepted) == pytest.approx(2.49)
+
     def test_memo_is_reused_across_episodes(self, trained):
         cfg, graph, net, enc = trained
         env = cli.build_env(cfg, noise=0.0)
@@ -660,21 +769,19 @@ class TestPolicyMemo:
 
         quiet = Unreported(noisy.grid, noise_scale=0.0,
                            variant=noisy.variant, patch_size=noisy.patch_size)
-        moving = []
-        correction = navigator._drift_correction
+        memos = []
 
-        def recording_correction(*args, **kwargs):
-            offset = correction(*args, **kwargs)
-            moving.append(offset is not None and bool(offset.any()))
-            return offset
+        class RecordedMemo(navigator.Memo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
 
-        reports = [cli.run_eval(noisy, graph, net, enc, cfg,
-                                np.random.default_rng(seed))]
-        monkeypatch.setattr(navigator, "_drift_correction",
-                            recording_correction)
-        reports.append(cli.run_eval(quiet, graph, net, enc, cfg,
-                                    np.random.default_rng(seed)))
+        monkeypatch.setattr(navigator, "Memo", RecordedMemo)
+        reports = [cli.run_eval(e, graph, net, enc, cfg,
+                                np.random.default_rng(seed))
+                   for e in (noisy, quiet)]
         assert reports[0].episodes == reports[1].episodes
         assert reports[0].memo_entries["query"] == 0
         assert reports[1].memo_entries["query"] > 0
-        assert any(moving)
+        assert any(offset is not None for q in memos[1].query.values()
+                   for _, offset in q.drift.values())
