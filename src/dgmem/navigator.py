@@ -327,7 +327,7 @@ def execute(env: GridEnv, state: AgentState, graph: GraphMemory,
     goal_pose = np.asarray(goal_obs.pose_est, float)
     goal = (goal_key, goal_pose.tobytes())
     arrival = goal + (success_radius,)
-    # a pose cell (within 0.05 of the pose) this far off fails the gate
+    # pose cells (poses to 0.05) this far off on an axis fail the pose gate
     gx, gy, gate = *goal_pose[:2].tolist(), success_radius + 1.6
 
     noisy = env.noise_scale > 0  # then poses rarely repeat

@@ -336,17 +336,16 @@ class TestCliCommands:
         assert code == 2
         assert "config error: unknown config key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value, kind", [
-        ("env.noise", "-1", "number"), ("eval.noise", "-0.3", "number"),
-        ("eval.max_steps", "-1", "integer"),
-        ("eval.subgoal_budget", "-5", "integer"),
-        ("eval.max_replans", "-1", "integer"),
-        ("eval.max_replans", "three", "integer")])
+    @pytest.mark.parametrize("key, value", [
+        ("env.noise", "-1"), ("eval.noise", "-0.3"), ("eval.max_steps", "-1"),
+        ("eval.subgoal_budget", "-5"), ("eval.max_replans", "-1"),
+        ("eval.max_replans", "three")])
     def test_negative_setting_fails_cleanly(self, tmp_path, capsys, key,
-                                            value, kind):
+                                            value):
         """A negative noise would run without noise and a negative budget
         or replan count would end every episode early; both exit 2, as
-        does a value that is not a number."""
+        does a value that is not a number (the budgets are integers)."""
+        kind = "number" if key.endswith(".noise") else "integer"
         cfg = self.bad_config(tmp_path, f"{key}: {value}\n")
         if key == "env.noise":
             argv = ["explore", "--agent", "random", "--steps", "5",
