@@ -35,32 +35,31 @@ def build_map(cfg: dict) -> GridMap:
             raise cfgmod.ConfigError(
                 f"env.map_file {path!r}: {exc}") from exc
     if cfg["env.map"] == "four_rooms":
-        return make_four_rooms(int(cfg["env.map_seed"]))
+        return make_four_rooms(cfg["env.map_seed"])
     if cfg["env.map"] == "maze":
-        return make_maze(21, 17, int(cfg["env.map_seed"]))
+        return make_maze(21, 17, cfg["env.map_seed"])
     raise cfgmod.ConfigError(f"unknown map {cfg['env.map']!r}")
 
 
 def build_env(cfg: dict, noise: Optional[float] = None) -> GridEnv:
     grid = build_map(cfg)
     return GridEnv(grid,
-                   noise_scale=float(cfg["env.noise"] if noise is None else noise),
+                   noise_scale=cfg["env.noise"] if noise is None else noise,
                    variant=cfg["env.variant"],
-                   patch_size=int(cfg["env.patch_size"]))
+                   patch_size=cfg["env.patch_size"])
 
 
 def build_graph(cfg: dict) -> GraphMemory:
-    return GraphMemory(d_c=float(cfg["graph.d_c"]), d_s=float(cfg["graph.d_s"]),
-                       d_e=float(cfg["graph.d_e"]),
-                       alpha_sim=float(cfg["graph.alpha_sim"]),
+    return GraphMemory(d_c=cfg["graph.d_c"], d_s=cfg["graph.d_s"],
+                       d_e=cfg["graph.d_e"], alpha_sim=cfg["graph.alpha_sim"],
                        d_locate=cfg["graph.d_locate"],
-                       traj_cap=int(cfg["graph.traj_cap"]))
+                       traj_cap=cfg["graph.traj_cap"])
 
 
 def build_encoder(cfg: dict) -> PatchEncoder:
-    return PatchEncoder(feature_dim=int(cfg["encoder.dim"]),
-                        patch_size=int(cfg["env.patch_size"]),
-                        seed=int(cfg["encoder.seed"]))
+    return PatchEncoder(feature_dim=cfg["encoder.dim"],
+                        patch_size=cfg["env.patch_size"],
+                        seed=cfg["encoder.seed"])
 
 
 class ArtifactError(Exception):
@@ -131,7 +130,7 @@ def cmd_train(args) -> int:
 
     log_path = os.path.join(args.out, "train_log.jsonl")
     with open(log_path, "a" if args.resume else "w") as log_fh:
-        every = max(1, int(cfg["learner.total_steps"]) // 2000) * 10
+        every = max(1, cfg["learner.total_steps"] // 2000) * 10
 
         def writer(rec):
             if rec["step"] % every == 0 or rec["done"]:
@@ -171,7 +170,7 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
     network and graph stay fixed throughout, so all episodes share one
     ``navigator.Memo``, and each distinct goal cell gets one oracle BFS.
     """
-    episodes = int(cfg["eval.episodes"])
+    episodes = cfg["eval.episodes"]
     if episodes <= 0:
         raise ValueError("eval requires episodes > 0")
     origin = graph.origin or (0.0, 0.0, 0.0)
@@ -191,17 +190,17 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
                                                  goal[1] - origin[1], 0.0]))
         result = navigator.execute(
             env, state, graph, net, enc, start_obs, goal_obs, rng,
-            max_steps=int(cfg["eval.max_steps"]),
-            subgoal_budget=int(cfg["eval.subgoal_budget"]),
-            max_replans=int(cfg["eval.max_replans"]),
-            success_radius=float(cfg["reward.radius"]), memo=memo)
+            max_steps=cfg["eval.max_steps"],
+            subgoal_budget=cfg["eval.subgoal_budget"],
+            max_replans=cfg["eval.max_replans"],
+            success_radius=cfg["reward.radius"], memo=memo)
         final_cell = (result.final_state.x, result.final_state.y)
         dist = to_goal.get(goal)
         if dist is None:
             dist = to_goal[goal] = metrics.grid_distances(env.grid, goal)
         shortest = int(dist[start]) if dist[start] >= 0 else None
         dts = float(dist[final_cell]) if dist[final_cell] >= 0 else None
-        success = dts is not None and dts < float(cfg["reward.radius"])
+        success = dts is not None and dts < cfg["reward.radius"]
         records.append({"success": bool(success), "steps": result.steps,
                         "shortest": shortest, "dts": dts,
                         "reason": result.reason, "replans": result.replans,
@@ -214,9 +213,9 @@ def run_eval(env: GridEnv, graph: GraphMemory, net, enc: PatchEncoder,
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     net, graph = load_artifacts(args.checkpoint, args.graph)
-    env = build_env(cfg, noise=float(cfg["eval.noise"]))
+    env = build_env(cfg, noise=cfg["eval.noise"])
     enc = build_encoder(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     try:
         report = run_eval(env, graph, net, enc, cfg, rng)
     except ValueError as exc:
@@ -239,10 +238,10 @@ def cmd_eval(args) -> int:
 def cmd_explore(args) -> int:
     cfg = _load_config(args)
     env = build_env(cfg)
-    steps = int(cfg["learner.total_steps"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    horizon = int(cfg["learner.horizon"])
-    spawn = env.spawn(np.random.default_rng(int(cfg["env.map_seed"]) + 1000))
+    steps = cfg["learner.total_steps"]
+    rng = np.random.default_rng(cfg["seed"])
+    horizon = cfg["learner.horizon"]
+    spawn = env.spawn(np.random.default_rng(cfg["env.map_seed"] + 1000))
     if args.agent == "random":
         tracker = baselines.explore_random(env, steps, rng, spawn=spawn,
                                            episode_len=horizon)
@@ -252,7 +251,7 @@ def cmd_explore(args) -> int:
     elif args.agent in ("dp", "rnd"):
         enc = build_encoder(cfg)
         tracker = baselines.explore_intrinsic(env, enc, args.agent, steps,
-                                              seed=int(cfg["seed"]),
+                                              seed=cfg["seed"],
                                               episode_len=horizon,
                                               spawn=spawn)
     else:  # "dgmem", the last of the parser's choices

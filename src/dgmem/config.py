@@ -1,4 +1,4 @@
-"""Flat dotted-key configuration with defaults for every tunable.
+"""Flat dotted-key configuration: one schema names every key once.
 
 Config files are plain text, one ``key: value`` mapping (YAML subset).
 Unknown keys are rejected; serialization is deterministic so parse ->
@@ -7,69 +7,90 @@ serialize -> parse is the identity.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from typing import Any, Callable, Dict, NamedTuple, Tuple
 
 import yaml
 
-DEFAULTS: Dict[str, Any] = {
+
+class Rule(NamedTuple):
+    """The phrase that finishes "<key> must be ..." for a value that is not
+    of its key's type or fails ``test``."""
+    phrase: str
+    test: Callable[[Any], bool] = lambda value: True
+
+
+TEXT = Rule("a string")
+FLAG = Rule("true or false")
+INTEGER = Rule("an integer")
+FINITE = Rule("a finite number")
+POSITIVE_INT = Rule("a positive integer", lambda value: value >= 1)
+NON_NEGATIVE_INT = Rule("a non-negative integer", lambda value: value >= 0)
+NON_NEGATIVE = Rule("a non-negative number", lambda value: value >= 0)
+POSITIVE = Rule("a positive finite number", lambda value: value > 0)
+UNIT = Rule("a number in [0, 1]", lambda value: 0 <= value <= 1)
+
+# key -> (default, rule). A value takes its default's type: an int is never
+# a bool, a float may be written as text such as ``1e-4`` (YAML reads it as
+# a string) and is finite, and a None default stands for a float or null.
+SCHEMA: Dict[str, Tuple[Any, Rule]] = {
     # environment
-    "env.map": "four_rooms",
-    "env.map_seed": 0,
-    "env.map_file": "",
-    "env.noise": 0.0,
-    "env.patch_size": 5,
-    "env.variant": "cardinal",
+    "env.map": ("four_rooms", TEXT),
+    "env.map_seed": (0, NON_NEGATIVE_INT),
+    "env.map_file": ("", TEXT),
+    "env.noise": (0.0, NON_NEGATIVE),
+    "env.patch_size": (5, Rule("a positive odd integer",
+                               lambda value: value >= 1 and value % 2 == 1)),
+    "env.variant": ("cardinal",
+                    Rule("'cardinal' or 'orientation'",
+                         lambda value: value in ("cardinal", "orientation"))),
     # frozen encoder
-    "encoder.dim": 128,
-    "encoder.seed": 0,
+    "encoder.dim": (128, POSITIVE_INT),
+    "encoder.seed": (0, NON_NEGATIVE_INT),
     # graph memory thresholds and housekeeping
-    "graph.d_c": 1.5,
-    "graph.d_s": -0.85,
-    "graph.d_e": 1.0,
-    "graph.alpha_sim": 1.0,
-    "graph.d_locate": None,  # defaults to half the admission threshold
-    "graph.prune_every": 10000,
-    "graph.prune_min_count": 2,
-    "graph.traj_cap": 64,
+    "graph.d_c": (1.5, FINITE),
+    "graph.d_s": (-0.85, FINITE),
+    "graph.d_e": (1.0, FINITE),
+    "graph.alpha_sim": (1.0, FINITE),
+    # null: half the admission threshold
+    "graph.d_locate": (None, Rule("a finite number or null")),
+    "graph.prune_every": (10000, POSITIVE_INT),
+    "graph.prune_min_count": (2, INTEGER),
+    "graph.traj_cap": (64, POSITIVE_INT),
     # reward synthesis
-    "reward.alpha": 0.2,
-    "reward.novelty": 0.05,
-    "reward.success": 1.0,
-    "reward.radius": 1.0,
+    "reward.alpha": (0.2, FINITE),
+    "reward.novelty": (0.05, FINITE),
+    "reward.success": (1.0, FINITE),
+    "reward.radius": (1.0, POSITIVE),
     # policy optimization
-    "learner.clip": 0.1,
-    "learner.nsteps": 256,
-    "learner.minibatches": 1,
-    "learner.epochs": 4,
-    "learner.lr_start": 1e-4,
-    "learner.lr_end": 1e-5,
-    "learner.discount": 0.99,
-    "learner.gae_lambda": 0.95,
-    "learner.vf_coef": 0.5,
-    "learner.ent_coef": 0.01,
-    "learner.beta": 0.1,
-    "learner.horizon": 100,
-    "learner.il_edges": 48,
-    "learner.il_steps": 16,
-    "learner.il_lr": 0.03,
-    "learner.total_steps": 250000,
-    "learner.episodic_respawn": False,
+    "learner.clip": (0.1, FINITE),
+    "learner.nsteps": (256, POSITIVE_INT),
+    "learner.minibatches": (1, POSITIVE_INT),
+    "learner.epochs": (4, POSITIVE_INT),
+    "learner.lr_start": (1e-4, FINITE),
+    "learner.lr_end": (1e-5, FINITE),
+    "learner.discount": (0.99, UNIT),
+    "learner.gae_lambda": (0.95, UNIT),
+    "learner.vf_coef": (0.5, FINITE),
+    "learner.ent_coef": (0.01, FINITE),
+    # the imitation loss divides by 1 + beta
+    "learner.beta": (0.1, Rule("a finite number >= 0", NON_NEGATIVE.test)),
+    "learner.horizon": (100, POSITIVE_INT),
+    "learner.il_edges": (48, POSITIVE_INT),
+    "learner.il_steps": (16, POSITIVE_INT),
+    "learner.il_lr": (0.03, POSITIVE),
+    "learner.total_steps": (250000, POSITIVE_INT),
+    "learner.episodic_respawn": (False, FLAG),
     # goal sampler
-    "sampler.temperature": 1.0,
+    "sampler.temperature": (1.0, POSITIVE),
     # evaluation
-    "eval.episodes": 100,
-    "eval.max_steps": 200,
-    "eval.subgoal_budget": 30,
-    "eval.max_replans": 3,
-    "eval.noise": 0.0,
+    "eval.episodes": (100, POSITIVE_INT),
+    "eval.max_steps": (200, NON_NEGATIVE_INT),
+    "eval.subgoal_budget": (30, NON_NEGATIVE_INT),
+    "eval.max_replans": (3, NON_NEGATIVE_INT),
+    "eval.noise": (0.0, NON_NEGATIVE),
     # seeds
-    "seed": 0,
+    "seed": (0, NON_NEGATIVE_INT),
 }
-
-
-# keys that take a float; YAML reads a number like ``1e-4`` as a string
-FLOAT_KEYS = ({key for key, value in DEFAULTS.items()
-               if isinstance(value, float)} | {"graph.d_locate"})
 
 
 class ConfigError(ValueError):
@@ -77,89 +98,47 @@ class ConfigError(ValueError):
 
 
 def make_config(overrides: Dict[str, Any] | None = None) -> Dict[str, Any]:
-    cfg = dict(DEFAULTS)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key: {key}")
-            cfg[key] = value
-    _check(cfg)
-    return cfg
-
-
-def _finite(value: Any) -> bool:
-    """Whether ``value`` is a finite int or float (a bool is not)."""
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
-
-
-def _integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check(cfg: Dict[str, Any]) -> None:
-    for key, value in cfg.items():
-        if key in FLOAT_KEYS and isinstance(value, str):
-            try:
-                cfg[key] = value = float(value)
-            except ValueError:
-                pass  # rejected below
-        if isinstance(value, float) and value != value:
-            raise ConfigError(f"non-finite value for {key}")
-    for key in ("learner.nsteps", "learner.horizon", "learner.epochs",
-                "learner.minibatches", "learner.il_steps", "learner.il_edges",
-                "graph.prune_every", "graph.traj_cap", "encoder.dim",
-                "learner.total_steps", "eval.episodes"):
-        value = cfg[key]
-        if not _integer(value) or value < 1:
-            raise ConfigError(f"{key} must be a positive integer, "
-                              f"got {value!r}")
-    for key in ("seed", "encoder.seed", "env.map_seed", "eval.max_steps",
-                "eval.subgoal_budget", "eval.max_replans"):
-        value = cfg[key]
-        if not _integer(value) or value < 0:
-            raise ConfigError(f"{key} must be a non-negative integer, "
-                              f"got {value!r}")
-    size = cfg["env.patch_size"]
-    if not _integer(size) or size < 1 or size % 2 == 0:
-        raise ConfigError("env.patch_size must be a positive odd integer, "
-                          f"got {size!r}")
-    if cfg["env.variant"] not in ("cardinal", "orientation"):
-        raise ConfigError("env.variant must be 'cardinal' or 'orientation', "
-                          f"got {cfg['env.variant']!r}")
+    """Every key of SCHEMA, from ``overrides`` or its default, as its
+    default's type; a value that is not one or fails its rule raises
+    ConfigError naming the key and the value as given."""
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown config key: {key}")
+    cfg = {}
+    for key, (default, rule) in SCHEMA.items():
+        value = overrides.get(key, default)
+        try:
+            cfg[key] = _typed(default, value)
+            valid = cfg[key] is None or rule.test(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"{key} must be {rule.phrase}, got {value!r}")
     if cfg["learner.minibatches"] > cfg["learner.nsteps"]:
         # a PPO update splits its nsteps rows into minibatches; none may be
         # empty
         raise ConfigError("learner.minibatches must not exceed "
                           f"learner.nsteps ({cfg['learner.nsteps']}), got "
                           f"{cfg['learner.minibatches']}")
-    for key in ("reward.radius", "learner.il_lr", "sampler.temperature"):
-        value = cfg[key]
-        if not _finite(value) or value <= 0:
-            raise ConfigError(f"{key} must be a positive finite number, "
-                              f"got {value!r}")
-    for key in ("learner.discount", "learner.gae_lambda"):
-        if not (_finite(cfg[key]) and 0 <= cfg[key] <= 1):
-            raise ConfigError(
-                f"{key} must be a number in [0, 1], got {cfg[key]!r}")
-    beta = cfg["learner.beta"]  # the imitation loss divides by 1 + beta
-    if not _finite(beta) or beta < 0:
-        raise ConfigError("learner.beta must be a finite number >= 0, "
-                          f"got {beta!r}")
-    for key in ("env.noise", "eval.noise"):
-        value = cfg[key]
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or value < 0):
-            raise ConfigError(f"{key} must be a non-negative number, "
-                              f"got {value!r}")
-    d_locate = cfg["graph.d_locate"]  # None: half the admission threshold
-    if d_locate is not None and not _finite(d_locate):
-        raise ConfigError("graph.d_locate must be a finite number or null, "
-                          f"got {d_locate!r}")
-    for key in sorted(FLOAT_KEYS - {"graph.d_locate"}):
-        if not _finite(cfg[key]):
-            raise ConfigError(f"{key} must be a finite number, "
-                              f"got {cfg[key]!r}")
+    return cfg
+
+
+def _typed(default: Any, value: Any) -> Any:
+    """``value`` as the type of ``default``; raises TypeError, ValueError or
+    OverflowError for a value that is not one."""
+    if value is None and default is None:
+        return None
+    kind = float if default is None else type(default)
+    if isinstance(value, bool) != (kind is bool):
+        raise TypeError(value)
+    if kind is float and isinstance(value, (int, float, str)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(value)
+    if not isinstance(value, kind):
+        raise TypeError(value)
+    return value
 
 
 def loads(text: str) -> Dict[str, Any]:

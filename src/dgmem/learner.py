@@ -406,17 +406,17 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
     Deterministic given (cfg, seed): two runs with the same inputs produce
     bit-identical parameters and graphs.
     """
-    total = int(cfg["learner.total_steps"])
-    nsteps = int(cfg["learner.nsteps"])
-    horizon = int(cfg["learner.horizon"])
-    gamma_temp = float(cfg["sampler.temperature"])
-    alpha = float(cfg["reward.alpha"])
-    novelty_c = float(cfg["reward.novelty"])
-    success_mag = float(cfg["reward.success"])
-    radius = float(cfg["reward.radius"])
-    episodic = bool(cfg["learner.episodic_respawn"])
+    total = cfg["learner.total_steps"]
+    nsteps = cfg["learner.nsteps"]
+    horizon = cfg["learner.horizon"]
+    gamma_temp = cfg["sampler.temperature"]
+    alpha = cfg["reward.alpha"]
+    novelty_c = cfg["reward.novelty"]
+    success_mag = cfg["reward.success"]
+    radius = cfg["reward.radius"]
+    episodic = cfg["learner.episodic_respawn"]
 
-    seeds = np.random.SeedSequence(int(cfg["seed"])).spawn(4)
+    seeds = np.random.SeedSequence(cfg["seed"]).spawn(4)
     env_rng = np.random.default_rng(seeds[0])
     policy_rng = np.random.default_rng(seeds[1])
     goal_rng = np.random.default_rng(seeds[2])
@@ -424,7 +424,7 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
 
     input_dim = 2 * enc.feature_dim + 3
     if net is None:
-        net = ActorCritic(input_dim, env.n_actions, seed=int(cfg["seed"]))
+        net = ActorCritic(input_dim, env.n_actions, seed=cfg["seed"])
     opt = Adam(net.params)
 
     if state is None:
@@ -546,24 +546,20 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
                 last_value = float(last_values[0])
             policy_forwards = len(rollout.decisions)
             bx, ba, blogp, adv, returns = rollout.batch(
-                last_value, float(cfg["learner.discount"]),
-                float(cfg["learner.gae_lambda"]))
-            lr = lr_schedule(step, total, float(cfg["learner.lr_start"]),
-                             float(cfg["learner.lr_end"]))
+                last_value, cfg["learner.discount"], cfg["learner.gae_lambda"])
+            lr = lr_schedule(step, total, cfg["learner.lr_start"],
+                             cfg["learner.lr_end"])
             stats = ppo_update(
                 net, opt, bx, ba, blogp, adv, returns, lr,
-                clip=float(cfg["learner.clip"]),
-                epochs=int(cfg["learner.epochs"]),
-                minibatches=int(cfg["learner.minibatches"]),
-                vf_coef=float(cfg["learner.vf_coef"]),
-                ent_coef=float(cfg["learner.ent_coef"]))
+                clip=cfg["learner.clip"], epochs=cfg["learner.epochs"],
+                minibatches=cfg["learner.minibatches"],
+                vf_coef=cfg["learner.vf_coef"],
+                ent_coef=cfg["learner.ent_coef"])
             il_start = time.perf_counter()
-            il_x, il_a = build_il_batch(
-                graph, int(cfg["learner.il_edges"]), il_rng)
-            il_stats = il_update(net, il_x, il_a,
-                                 float(cfg["learner.il_lr"]),
-                                 beta=float(cfg["learner.beta"]),
-                                 steps=int(cfg["learner.il_steps"]))
+            il_x, il_a = build_il_batch(graph, cfg["learner.il_edges"], il_rng)
+            il_stats = il_update(net, il_x, il_a, cfg["learner.il_lr"],
+                                 beta=cfg["learner.beta"],
+                                 steps=cfg["learner.il_steps"])
             il_end = time.perf_counter()
             blocks = PolicyBlocks(net)  # a NaN guard may replace the arrays
             result.update_seconds.append({
@@ -581,10 +577,9 @@ def training_loop(env: GridEnv, graph: GraphMemory, enc: PatchEncoder,
             stats["step"] = step
             result.update_stats.append(stats)
 
-        if step % int(cfg["graph.prune_every"]) == 0:
+        if step % cfg["graph.prune_every"] == 0:
             prune_start = time.perf_counter()
-            pruned += len(graph.prune_edges(
-                int(cfg["graph.prune_min_count"])))
+            pruned += len(graph.prune_edges(cfg["graph.prune_min_count"]))
             prune_s += time.perf_counter() - prune_start
             dist_version = -1
 

@@ -510,12 +510,26 @@ class TestCliCommands:
         ("graph.d_locate: x\n",
          "graph.d_locate must be a finite number or null, got 'x'"),
         ("learner.clip: abc\n", "learner.clip must be a finite number, "
-         "got 'abc'")])
+         "got 'abc'"),
+        ("env.map_file: 5\n", "env.map_file must be a string, got 5"),
+        ("env.map_file: true\n", "env.map_file must be a string, got True"),
+        ("graph.prune_every: 50\ngraph.prune_min_count: abc\n",
+         "graph.prune_min_count must be an integer, got 'abc'"),
+        ("graph.prune_min_count: 2.5\n",
+         "graph.prune_min_count must be an integer, got 2.5"),
+        ("learner.episodic_respawn: 3\n",
+         "learner.episodic_respawn must be true or false, got 3"),
+        ("learner.episodic_respawn: 'no'\n",
+         "learner.episodic_respawn must be true or false, got 'no'")])
     def test_unusable_setup_setting_fails_cleanly(self, tmp_path, capsys,
                                                   text, message):
         """Before, each of these ended in a traceback from the library's own
         checks (``GridEnv``, ``PatchEncoder``, NumPy's seeding, ``float()``)
-        with exit 1, or, for ``env.map_seed: 1.5``, ran a truncated seed."""
+        with exit 1, or, for ``env.map_seed: 1.5``, ran a truncated seed.
+        An integer ``env.map_file`` was opened as a file descriptor (``true``
+        as fd 1), a text ``graph.prune_min_count`` crashed at the first
+        pruning and 2.5 was truncated, and any truthy
+        ``learner.episodic_respawn`` turned respawning on."""
         out = tmp_path / "run"
         code = cli.main(["train", "--out", str(out), "--steps", "600",
                          "--config", self.bad_config(tmp_path, text)])
@@ -523,7 +537,9 @@ class TestCliCommands:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", sorted(cfgmod.FLOAT_KEYS))
+    @pytest.mark.parametrize("key", sorted(
+        key for key, (default, _) in cfgmod.SCHEMA.items()
+        if default is None or type(default) is float))
     def test_float_key_reads_exponent_and_rejects_text(self, tmp_path,
                                                        capsys, key):
         """YAML reads ``2e-1`` (no dot) as a string; every float key takes
