@@ -110,7 +110,7 @@ def make_config(overrides: Dict[str, Any] | None = None) -> Dict[str, Any]:
         value = overrides.get(key, default)
         try:
             cfg[key] = _typed(default, value)
-            valid = cfg[key] is None or rule.test(cfg[key])
+            valid = rule.test(cfg[key])
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
