@@ -27,7 +27,7 @@ def wrong_type(default):
     float key takes a finite number or its text (null too for a None
     default)."""
     if default is None or type(default) is float:
-        return (anything.filter(lambda v: isinstance(v, (bool, list))
+        return (anything.filter(lambda v: isinstance(v, bool)
                                 or not finite_number(v))
                 .filter(lambda v: v is not None or default is not None)
                 | st.integers(min_value=2 ** 1024))  # beyond a float
